@@ -13,15 +13,21 @@ per-outcome parameters (the most general single-step strategy).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .optimize import GridSpec, OptimizeResult, ProtocolSystem, optimize_system
+from .optimize import GridSpec, OptimizeResult, optimize_system
 from .pauli import PauliPolynomial, PauliString
-from .protocol import OUTCOMES, LoccParams, delta_closed_form, locc_unitary
+from .protocol import (
+    LoccChoice,
+    ProtocolSystem,
+    StatevectorBackend,
+    direct_energy,
+    post_measurement_profile,
+    stage_expectations,
+)
 from .reports import EnergyReport
 from . import statevector as sv
 
@@ -40,9 +46,6 @@ class ChainModel:
     hamiltonian: PauliPolynomial
     ground: sv.StateVector
     ground_energy: float
-
-    def expect(self, poly: PauliPolynomial) -> complex:
-        return sv.poly_expectation(poly, self.ground)
 
     def label(self) -> str:
         return (
@@ -102,71 +105,37 @@ def measurement_projectors(model: ChainModel, axis: str = "x") -> dict[int, Paul
 
 
 def protocol_system(model: ChainModel, axis: str = "x") -> ProtocolSystem:
+    """The chain protocol: sigma^axis on site_a measured, site_b rotated.
+
+    The profile observables are the bare Hamiltonian term operators; the
+    chain has no closed form for delta.
+    """
+    n = model.n_qubits
+    observables = {
+        f"zz({i},{i + 1})": PauliPolynomial.from_string(PauliString.from_support(n, [i, i + 1], "z"))
+        for i in range(n - 1)
+    }
+    for i in range(n):
+        observables[f"x({i})"] = PauliPolynomial.from_string(PauliString.single(n, i, "x"))
     return ProtocolSystem(
-        n_qubits=model.n_qubits,
+        n_qubits=n,
         hamiltonian=model.hamiltonian,
         ground_energy=model.ground_energy,
         target=model.site_b,
-        expect=model.expect,
+        backend=StatevectorBackend.from_state(model.ground),
         m_ops=measurement_projectors(model, axis),
-        label=model.label(),
+        scheme=f"sigma^{axis} measurement on site {model.site_a} of {model.label()}",
+        observables=observables,
     )
-
-
-LoccChoice = Union[LoccParams, Mapping[int, LoccParams]]
-
-
-def _unitary_for(locc: LoccChoice, k: int, model: ChainModel) -> PauliPolynomial:
-    params = locc[k] if isinstance(locc, Mapping) else locc
-    return locc_unitary(params, k, model.site_b, model.n_qubits)
 
 
 def qet_run(model: ChainModel, locc: LoccChoice, axis: str = "x") -> EnergyReport:
-    """Direct sandwich evaluation of the chain protocol."""
-    m_ops = measurement_projectors(model, axis)
-    ham = model.hamiltonian
-    raw_a = 0.0
-    raw_b = 0.0
-    for k in OUTCOMES:
-        m = m_ops[k]
-        raw_a += model.expect(m.mul(ham).mul(m)).real
-        staged = _unitary_for(locc, k, model).mul(m)
-        raw_b += model.expect(staged.adjoint().mul(ham).mul(staged)).real
-    p_plus = model.expect(m_ops[1]).real
-    e_a = raw_a - model.ground_energy
-    e_b = raw_b - model.ground_energy
-    shown = locc[1] if isinstance(locc, Mapping) else locc
-    return EnergyReport(
-        scheme=f"sigma^{axis} measurement on site {model.site_a} of {model.label()}",
-        backend="statevector",
-        theta=shown.theta,
-        axis=shown.axis,
-        p_plus=p_plus,
-        p_minus=1.0 - p_plus,
-        e_a=e_a,
-        e_b=e_b,
-        delta=e_b - e_a,
-        closed_form=delta_closed_form(shown),
-        ground_energy=model.ground_energy,
-        stabilizer_expectations=post_measurement_terms(model, axis),
-    )
+    return direct_energy(protocol_system(model, axis), locc)
 
 
 def post_measurement_terms(model: ChainModel, axis: str = "x") -> dict[str, float]:
     """Post-measurement expectation of each bare Hamiltonian term operator."""
-    m_ops = measurement_projectors(model, axis)
-    out: dict[str, float] = {}
-    for i in range(model.n_qubits - 1):
-        op = PauliPolynomial.from_string(PauliString.from_support(model.n_qubits, [i, i + 1], "z"))
-        out[f"zz({i},{i + 1})"] = _sandwich_sum(model, m_ops, op)
-    for i in range(model.n_qubits):
-        op = PauliPolynomial.from_string(PauliString.single(model.n_qubits, i, "x"))
-        out[f"x({i})"] = _sandwich_sum(model, m_ops, op)
-    return out
-
-
-def _sandwich_sum(model: ChainModel, m_ops, op: PauliPolynomial) -> float:
-    return sum(model.expect(m.mul(op).mul(m)).real for m in m_ops.values())
+    return post_measurement_profile(protocol_system(model, axis))
 
 
 def term_energy_changes(model: ChainModel, locc: LoccChoice, axis: str = "x") -> dict[str, float]:
@@ -175,17 +144,10 @@ def term_energy_changes(model: ChainModel, locc: LoccChoice, axis: str = "x") ->
     The rotation is local, so only terms touching site_b may change; the
     dictionary makes that bookkeeping testable.
     """
-    m_ops = measurement_projectors(model, axis)
+    system = protocol_system(model, axis)
     changes: dict[str, float] = {}
     for string, coeff in model.hamiltonian.strings():
-        before = 0.0
-        after = 0.0
-        term = PauliPolynomial.from_string(string, coeff)
-        for k in OUTCOMES:
-            m = m_ops[k]
-            before += model.expect(m.mul(term).mul(m)).real
-            staged = _unitary_for(locc, k, model).mul(m)
-            after += model.expect(staged.adjoint().mul(term).mul(staged)).real
+        before, after = stage_expectations(system, locc, PauliPolynomial.from_string(string, coeff))
         support = string.x_bits | string.z_bits
         label = f"term(x={string.x_bits:#x},z={string.z_bits:#x})"
         changes[label] = after - before
@@ -198,10 +160,8 @@ def optimize_control(
     grid: Optional[GridSpec] = None,
     axis: str = "x",
     independent: bool = True,
-    threads: int = 1,
     with_table: bool = False,
 ) -> OptimizeResult:
     """Search for extraction on the chain; independent per-outcome
     parameters by default, the strongest single-round strategy."""
-    system = protocol_system(model, axis)
-    return optimize_system(system, grid, independent=independent, threads=threads, with_table=with_table)
+    return optimize_system(protocol_system(model, axis), grid, independent=independent, with_table=with_table)

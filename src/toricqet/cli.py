@@ -6,7 +6,7 @@ chain), describe (lattice geometry as JSON).
 
 Exit codes: 0 success / claim confirmed, 1 claim refuted (a check failed
 or an extracting parameter point was found where none should exist),
-2 usage or capacity error.  TORICQET_THREADS sets sweep worker count.
+2 usage or capacity error.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -33,7 +33,7 @@ from .protocol import (
     verify_local_expectations,
     verify_plaquette_collapse,
 )
-from .reports import format_float, sweep_csv_lines
+from .reports import format_float, write_sweep_csv
 from .statevector import CapacityError
 
 NOGO_EPS = 1e-10
@@ -64,7 +64,6 @@ class RunConfig:
     site_a: int = 0
     site_b: Optional[int] = None
     chain_axis: str = "x"
-    threads: int = 1
 
     @classmethod
     def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
@@ -72,12 +71,11 @@ class RunConfig:
         for f in fields(cls):
             if hasattr(ns, f.name):
                 value = getattr(ns, f.name)
-                if value is not None or f.name in ("edges", "out", "json_out", "site_b"):
+                if value is not None or _FIELD_TYPES[f.name][0]:
                     setattr(cfg, f.name, value)
         cfg.sector = tuple(cfg.sector)
         if cfg.edges is not None:
             cfg.edges = tuple(cfg.edges)
-        cfg.threads = _thread_count()
         return cfg
 
     def lattice(self) -> ToricLattice:
@@ -92,45 +90,41 @@ class RunConfig:
         return GridSpec(theta_count=self.theta_count, sphere_count=self.sphere_count, refine=self.refine)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TORICQET_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"TORICQET_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValueError("TORICQET_THREADS must be at least 1")
-    return count
+def _split_optional(hint) -> tuple[bool, type]:
+    """(nullable, value type) of a RunConfig annotation."""
+    if typing.get_origin(hint) is typing.Union:
+        members = typing.get_args(hint)
+        return type(None) in members, next(m for m in members if m is not type(None))
+    return False, hint
 
 
-CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "threads"}
+_FIELD_TYPES = {name: _split_optional(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+CONFIG_KEYS = set(_FIELD_TYPES) - {"command"}
 
-_INT_KEYS = {"L", "bob_qubit", "theta_count", "sphere_count", "seed", "samples",
-             "sites", "site_a", "site_b"}
-_NUMBER_KEYS = {"coupling", "field"}
-_BOOL_KEYS = {"refine", "independent"}
-_STRING_KEYS = {"backend", "chain_axis", "out", "json_out"}
-_LIST_KEYS = {"sector", "edges"}
-_NULLABLE = {"site_b", "edges", "out", "json_out"}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON check and its description, per RunConfig value type.
+_VALUE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of integers"),
+}
 
 
 def _check_config_value(key: str, value):
+    nullable, kind = _FIELD_TYPES[key]
     if value is None:
-        if key in _NULLABLE:
+        if nullable:
             return
         raise ValueError(f"config key {key!r} cannot be null")
-    if key in _INT_KEYS and not (isinstance(value, int) and not isinstance(value, bool)):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    if key in _NUMBER_KEYS and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    if key in _BOOL_KEYS and not isinstance(value, bool):
-        raise ValueError(f"config key {key!r} must be a boolean, got {value!r}")
-    if key in _STRING_KEYS and not isinstance(value, str):
-        raise ValueError(f"config key {key!r} must be a string, got {value!r}")
-    if key in _LIST_KEYS and not (
-        isinstance(value, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise ValueError(f"config key {key!r} must be a list of integers, got {value!r}")
+    accepts, described = _VALUE_CHECKS[typing.get_origin(kind) or kind]
+    if not accepts(value):
+        raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -287,18 +281,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _write_csv(path: str, blocks: list[tuple[np.ndarray, str]]):
-    try:
-        with open(path, "w") as fh:
-            for i, (rows, tag) in enumerate(blocks):
-                for j, line in enumerate(sweep_csv_lines(rows, tag)):
-                    if i > 0 and j == 0:
-                        continue  # single header
-                    fh.write(line + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
-
-
 def cmd_nogo_scan(cfg: RunConfig) -> int:
     lat = cfg.lattice()
     scheme = cfg.scheme(lat)
@@ -308,8 +290,7 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
     overall_min = math.inf
     best = None
     for backend in backends:
-        res = optimize_locc(lat, scheme, grid, backend=backend,
-                            independent=cfg.independent, threads=cfg.threads)
+        res = optimize_locc(lat, scheme, grid, backend=backend, independent=cfg.independent)
         blocks.append((res.table, backend.name))
         deviation = float(np.abs(res.table[:, 7] - res.table[:, 8]).max())
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
@@ -320,7 +301,7 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
             overall_min = res.min_delta
             best = (backend, res)
     if cfg.out:
-        _write_csv(cfg.out, blocks)
+        write_sweep_csv(cfg.out, blocks)
         print(f"sweep table written to {cfg.out}")
     if cfg.json_out:
         backend, res = best
@@ -338,8 +319,7 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
 def cmd_control(cfg: RunConfig) -> int:
     model = build_chain(cfg.sites, cfg.coupling, cfg.field, cfg.site_a, cfg.site_b)
     res = optimize_control(model, cfg.grid(), axis=cfg.chain_axis,
-                           independent=cfg.independent, threads=cfg.threads,
-                           with_table=cfg.out is not None)
+                           independent=cfg.independent, with_table=cfg.out is not None)
     locc = res.per_outcome if res.per_outcome is not None else res.params
     report = qet_run(model, locc, axis=cfg.chain_axis)
     if abs(report.delta - res.min_delta) > CONTROL_EPS:
@@ -347,7 +327,7 @@ def cmd_control(cfg: RunConfig) -> int:
               f"({format_float(report.delta)}) disagree")
         return 1
     if cfg.out and res.table is not None:
-        _write_csv(cfg.out, [(res.table, model.label())])
+        write_sweep_csv(cfg.out, [(res.table, model.label())])
         print(f"sweep table written to {cfg.out}")
     if cfg.json_out:
         with open(cfg.json_out, "w") as fh:

@@ -21,23 +21,13 @@ refinement only searches the sphere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .lattice import MeasurementScheme, ToricLattice
-from .pauli import PauliPolynomial
-from .protocol import (
-    AXIS_NAMES,
-    OUTCOMES,
-    LoccParams,
-    StabilizerBackend,
-    delta_closed_form,
-    describe_scheme,
-    sigma_poly,
-)
+from .protocol import AXIS_NAMES, OUTCOMES, LoccParams, ProtocolSystem, sigma_poly
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 REFINE_VALUE_TOL = 1e-9
@@ -74,32 +64,6 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-@dataclass(frozen=True)
-class ProtocolSystem:
-    """Everything the sweep needs, independent of which model produced it."""
-
-    n_qubits: int
-    hamiltonian: PauliPolynomial
-    ground_energy: float
-    target: int
-    expect: Callable[[PauliPolynomial], complex]
-    m_ops: Mapping[int, PauliPolynomial]
-    label: str
-
-    @classmethod
-    def from_toric(cls, lat: ToricLattice, scheme: MeasurementScheme, backend=None) -> "ProtocolSystem":
-        backend = backend or StabilizerBackend(lat)
-        return cls(
-            n_qubits=lat.n_qubits,
-            hamiltonian=lat.hamiltonian(),
-            ground_energy=lat.ground_energy(),
-            target=lat.bob_qubit,
-            expect=backend.expect,
-            m_ops={k: scheme.kraus(k) for k in OUTCOMES},
-            label=backend.name,
-        )
-
-
 class QuadraticResponse:
     """Per-outcome response tensors and the O(1) energy evaluations."""
 
@@ -107,6 +71,7 @@ class QuadraticResponse:
         self.system = system
         ham = system.hamiltonian
         n = system.n_qubits
+        expect = system.backend.expect
         sigmas = [sigma_poly(n, system.target, a) for a in AXIS_NAMES]
         commutators = [ham.commutator(s) for s in sigmas]
         self.h: dict[int, float] = {}
@@ -114,17 +79,17 @@ class QuadraticResponse:
         self.w: dict[int, np.ndarray] = {}
         for k in OUTCOMES:
             m = system.m_ops[k]
-            self.h[k] = system.expect(m.mul(ham).mul(m)).real
+            self.h[k] = expect(m.mul(ham).mul(m)).real
             self.c[k] = np.array(
-                [system.expect(m.mul(comm).mul(m)) for comm in commutators], dtype=complex
+                [expect(m.mul(comm).mul(m)) for comm in commutators], dtype=complex
             )
             w = np.empty((3, 3), dtype=complex)
             for i in range(3):
                 left = m.mul(sigmas[i]).mul(ham)
                 for j in range(3):
-                    w[i, j] = system.expect(left.mul(sigmas[j]).mul(m))
+                    w[i, j] = expect(left.mul(sigmas[j]).mul(m))
             self.w[k] = w
-        self.p_plus = system.expect(system.m_ops[1]).real
+        self.p_plus = expect(system.m_ops[1]).real
         self.e_a = sum(self.h.values()) - system.ground_energy
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
         self.w_shared = sum(self.w[k].real for k in OUTCOMES)
@@ -183,18 +148,11 @@ class QuadraticResponse:
         b = axes @ lin
         return a, b
 
-    def sweep(self, thetas: np.ndarray, axes: np.ndarray, threads: int = 1) -> np.ndarray:
+    def sweep(self, thetas: np.ndarray, axes: np.ndarray) -> np.ndarray:
         """Delta on the (theta x axis) grid, theta-major, shape (T, M)."""
         s = np.sin(thetas)
         c = np.cos(thetas)
-        if threads > 1 and len(axes) >= 2 * threads:
-            chunks = np.array_split(np.arange(len(axes)), threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda ix: self.axis_coefficients(axes[ix]), chunks))
-            a = np.concatenate([p[0] for p in parts])
-            b = np.concatenate([p[1] for p in parts])
-        else:
-            a, b = self.axis_coefficients(axes)
+        a, b = self.axis_coefficients(axes)
         return np.outer(s * s, a) + np.outer(s * c, b)
 
 
@@ -207,7 +165,6 @@ class OptimizeResult:
     table: Optional[np.ndarray]
     p_plus: float
     e_a: float
-    label: str
     zero_theta_attains: bool
 
     def argmin_description(self) -> str:
@@ -276,14 +233,13 @@ def optimize_system(
     system: ProtocolSystem,
     grid: Optional[GridSpec] = None,
     independent: bool = False,
-    threads: int = 1,
     with_table: bool = True,
 ) -> OptimizeResult:
     grid = grid or GridSpec()
     resp = QuadraticResponse(system)
     thetas = grid.thetas()
     axes = grid.axes()
-    deltas = resp.sweep(thetas, axes, threads=threads)
+    deltas = resp.sweep(thetas, axes)
     grid_min = float(deltas.min())
     flat_idx = int(deltas.argmin())
     ti, mi = divmod(flat_idx, len(axes))
@@ -317,7 +273,6 @@ def optimize_system(
         table=table,
         p_plus=resp.p_plus,
         e_a=resp.e_a,
-        label=system.label,
         zero_theta_attains=zero_theta_attains,
     )
 
@@ -345,8 +300,7 @@ def optimize_locc(
     grid: Optional[GridSpec] = None,
     backend=None,
     independent: bool = False,
-    threads: int = 1,
     with_table: bool = True,
 ) -> OptimizeResult:
     system = ProtocolSystem.from_toric(lat, scheme, backend)
-    return optimize_system(system, grid, independent=independent, threads=threads, with_table=with_table)
+    return optimize_system(system, grid, independent=independent, with_table=with_table)

@@ -1,24 +1,25 @@
-"""Measurement-plus-feedback protocol energies on the toric code.
+"""Measurement-plus-feedback protocol energies, for the torus and the chain.
 
-The protocol: measure an X-string over region A (projective, outcomes
+The protocol: measure an observable on region A (projective, outcomes
 k = +-1 with Kraus projectors M_k), classically communicate k, then rotate
-the single target edge by U_k = cos(theta) I + i k sin(theta) n.sigma.
+the single target qubit by U_k = cos(theta) I + i k sin(theta) n.sigma.
 Post-measurement quantities use the unnormalized Kraus convention
 
     E_A = sum_k <xi| M_k H M_k |xi>,
     E_B = sum_k <xi| M_k U_k^dag H U_k M_k |xi>,
 
 i.e. ensemble averages over outcomes, reported relative to the ground
-energy.  Everything is evaluated as exact Pauli-polynomial sandwiches
-against a pluggable ground-state backend, so the symbolic engine and the
-dense oracle run the identical code path.
+energy.  A ProtocolSystem bundles one model's Hamiltonian, projectors and
+ground-state backend; direct_energy evaluates any system as exact
+Pauli-polynomial sandwiches, so the toric code on either engine and the
+positive-control chain run the identical code path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .lattice import MeasurementScheme, ToricLattice
 from .pauli import PauliPolynomial, PauliString
@@ -55,7 +56,16 @@ class LoccParams:
         return cls(float(theta), tuple(c / norm for c in direction))
 
 
+LoccChoice = Union[LoccParams, Mapping[int, LoccParams]]
+
+
+def outcome_params(locc: LoccChoice, k: int) -> LoccParams:
+    """The parameters applied after outcome k: shared, or picked per outcome."""
+    return locc[k] if isinstance(locc, Mapping) else locc
+
+
 # -- ground-state backends ---------------------------------------------------
+# A backend is anything with .name, .exact and .expect(poly) -> complex.
 
 
 class StabilizerBackend:
@@ -65,8 +75,6 @@ class StabilizerBackend:
     exact = True
 
     def __init__(self, lat: ToricLattice, sector: tuple[int, int] = (1, 1)):
-        self.lattice = lat
-        self.sector = sector
         self.group = lat.ground_group(sector)
 
     def expect(self, poly: PauliPolynomial) -> complex:
@@ -74,21 +82,23 @@ class StabilizerBackend:
 
 
 class StatevectorBackend:
-    """Dense-oracle expectations; limited to small lattices."""
+    """Dense-oracle expectations; limited to small systems."""
 
     name = "statevector"
     exact = False
 
     def __init__(self, lat: ToricLattice, sector: tuple[int, int] = (1, 1)):
-        self.lattice = lat
-        self.sector = sector
         self.state = sv.ground_state(lat, sector)
+
+    @classmethod
+    def from_state(cls, state: sv.StateVector) -> "StatevectorBackend":
+        """Backend over an already computed ground state (any model)."""
+        backend = cls.__new__(cls)
+        backend.state = state
+        return backend
 
     def expect(self, poly: PauliPolynomial) -> complex:
         return sv.poly_expectation(poly, self.state)
-
-
-Backend = StabilizerBackend  # structural: anything with .name/.exact/.expect
 
 
 def make_backends(lat: ToricLattice, which: str, sector: tuple[int, int] = (1, 1)):
@@ -137,49 +147,121 @@ def delta_closed_form(params: LoccParams) -> float:
     return 4.0 * s * s * (ny * ny + nz * nz)
 
 
-# -- energies ------------------------------------------------------------------
+# -- the protocol core ---------------------------------------------------------
 
 
-def outcome_probabilities(scheme: MeasurementScheme, backend) -> tuple[float, float]:
-    m_plus, m_minus = measurement_ops(scheme)
-    p_plus = backend.expect(m_plus).real
-    p_minus = backend.expect(m_minus).real
-    return p_plus, p_minus
+@dataclass(frozen=True)
+class ProtocolSystem:
+    """One model's protocol, independent of which model produced it.
+
+    Read by both the direct evaluator and the optimizer's response surface.
+    `observables` are the labelled operators of the post-measurement
+    profile; `closed_form` maps parameters to the model's predicted delta,
+    where one is known.
+    """
+
+    n_qubits: int
+    hamiltonian: PauliPolynomial
+    ground_energy: float
+    target: int
+    backend: object
+    m_ops: Mapping[int, PauliPolynomial]
+    scheme: str
+    observables: Mapping[str, PauliPolynomial]
+    closed_form: Optional[Callable[[LoccParams], float]] = None
+
+    @classmethod
+    def from_toric(cls, lat: ToricLattice, scheme: MeasurementScheme, backend=None) -> "ProtocolSystem":
+        observables = {}
+        for kind, ops in (("star", lat.stars()), ("plaquette", lat.plaquettes())):
+            for idx, op in enumerate(ops):
+                r, c = divmod(idx, lat.L)
+                observables[f"{kind}({r},{c})"] = PauliPolynomial.from_string(op)
+        return cls(
+            n_qubits=lat.n_qubits,
+            hamiltonian=lat.hamiltonian(),
+            ground_energy=lat.ground_energy(),
+            target=lat.bob_qubit,
+            backend=backend or StabilizerBackend(lat),
+            m_ops=dict(zip(OUTCOMES, measurement_ops(scheme))),
+            scheme=describe_scheme(scheme, lat),
+            observables=observables,
+            closed_form=delta_closed_form,
+        )
+
+
+def stage_expectations(system: ProtocolSystem, locc: LoccChoice, op: PauliPolynomial) -> tuple[float, float]:
+    """(sum_k <M_k op M_k>, sum_k <M_k U_k^dag op U_k M_k>): op after the
+    measurement, and after the conditioned rotation."""
+    expect = system.backend.expect
+    measured = rotated = 0.0
+    for k in OUTCOMES:
+        m = system.m_ops[k]
+        measured += expect(m.mul(op).mul(m)).real
+        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
+        staged = u.mul(m)
+        rotated += expect(staged.adjoint().mul(op).mul(staged)).real
+    return measured, rotated
+
+
+def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
+    """sum_k <M_k O M_k> for every labelled observable O of the system."""
+    expect = system.backend.expect
+    return {
+        label: sum(expect(m.mul(op).mul(m)).real for m in system.m_ops.values())
+        for label, op in system.observables.items()
+    }
+
+
+def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: bool = True) -> EnergyReport:
+    """Full direct evaluation of the protocol for one parameter choice.
+
+    Both energies are computed as explicit operator sandwiches; no reduced
+    formula is used, so this is the reference path the optimizer's fast
+    path is tested against.  A per-outcome `locc` is reported through its
+    outcome +1 parameters.
+    """
+    raw_a, raw_b = stage_expectations(system, locc, system.hamiltonian)
+    p_plus, p_minus = (system.backend.expect(system.m_ops[k]).real for k in OUTCOMES)
+    e_a = raw_a - system.ground_energy
+    e_b = raw_b - system.ground_energy
+    shown = outcome_params(locc, 1)
+    return EnergyReport(
+        scheme=system.scheme,
+        backend=system.backend.name,
+        theta=shown.theta,
+        axis=shown.axis,
+        p_plus=p_plus,
+        p_minus=p_minus,
+        e_a=e_a,
+        e_b=e_b,
+        delta=e_b - e_a,
+        closed_form=None if system.closed_form is None else system.closed_form(shown),
+        ground_energy=system.ground_energy,
+        stabilizer_expectations=post_measurement_profile(system) if include_profile else {},
+    )
+
+
+# -- toric entry points: build the system, call the core -----------------------
+
+# theta = 0 makes U_k the identity; used where only the measured stage is read.
+NO_ROTATION = LoccParams(0.0, (0.0, 0.0, 1.0))
+
+
+def outcome_probabilities(scheme: MeasurementScheme, lat: ToricLattice, backend=None) -> tuple[float, float]:
+    """(p_plus, p_minus), each measured as <M_k>."""
+    return energy_injected(scheme, lat, backend)[1:]
 
 
 def energy_injected(scheme: MeasurementScheme, lat: ToricLattice, backend=None):
     """(E_A relative to ground, p_plus, p_minus) after the measurement."""
-    backend = backend or StabilizerBackend(lat)
-    ham = lat.hamiltonian()
-    raw = 0.0
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
-        raw += backend.expect(m.mul(ham).mul(m)).real
-    p_plus, p_minus = outcome_probabilities(scheme, backend)
-    return raw - lat.ground_energy(), p_plus, p_minus
+    rep = direct_energy(ProtocolSystem.from_toric(lat, scheme, backend), NO_ROTATION, include_profile=False)
+    return rep.e_a, rep.p_plus, rep.p_minus
 
 
 def excitation_profile(scheme: MeasurementScheme, lat: ToricLattice, backend=None) -> dict[str, float]:
     """Post-measurement expectation of every star and plaquette operator."""
-    backend = backend or StabilizerBackend(lat)
-    m_ops = measurement_ops(scheme)
-    profile: dict[str, float] = {}
-    L = lat.L
-    for idx, op in enumerate(lat.stars()):
-        r, c = divmod(idx, L)
-        profile[f"star({r},{c})"] = _post_measurement_expectation(op, m_ops, backend)
-    for idx, op in enumerate(lat.plaquettes()):
-        r, c = divmod(idx, L)
-        profile[f"plaquette({r},{c})"] = _post_measurement_expectation(op, m_ops, backend)
-    return profile
-
-
-def _post_measurement_expectation(op: PauliString, m_ops, backend) -> float:
-    poly = PauliPolynomial.from_string(op)
-    total = 0.0
-    for m in m_ops:
-        total += backend.expect(m.mul(poly).mul(m)).real
-    return total
+    return post_measurement_profile(ProtocolSystem.from_toric(lat, scheme, backend))
 
 
 def energy_after_locc(
@@ -189,37 +271,8 @@ def energy_after_locc(
     backend=None,
     include_profile: bool = True,
 ) -> EnergyReport:
-    """Full direct evaluation of the protocol for one parameter point.
-
-    Both energies are computed as explicit operator sandwiches; no reduced
-    formula is used, so this is the reference path the optimizer's fast
-    path is tested against.
-    """
-    backend = backend or StabilizerBackend(lat)
-    ham = lat.hamiltonian()
-    e_a, p_plus, p_minus = energy_injected(scheme, lat, backend)
-    raw_b = 0.0
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
-        u = locc_unitary(params, k, lat.bob_qubit, lat.n_qubits)
-        staged = u.mul(m)
-        raw_b += backend.expect(staged.adjoint().mul(ham).mul(staged)).real
-    e_b = raw_b - lat.ground_energy()
-    profile = excitation_profile(scheme, lat, backend) if include_profile else {}
-    return EnergyReport(
-        scheme=describe_scheme(scheme, lat),
-        backend=backend.name,
-        theta=params.theta,
-        axis=params.axis,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        e_a=e_a,
-        e_b=e_b,
-        delta=e_b - e_a,
-        closed_form=delta_closed_form(params),
-        ground_energy=lat.ground_energy(),
-        stabilizer_expectations=profile,
-    )
+    """direct_energy for one toric parameter point."""
+    return direct_energy(ProtocolSystem.from_toric(lat, scheme, backend), params, include_profile)
 
 
 def describe_scheme(scheme: MeasurementScheme, lat: ToricLattice) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 SWEEP_COLUMNS = (
     "theta",
@@ -34,7 +34,8 @@ class EnergyReport:
     """One full protocol evaluation: measurement, rotation, energies.
 
     Energies e_a and e_b are relative to the ground energy; the absolute
-    values are recoverable through ground_energy.
+    values are recoverable through ground_energy.  closed_form is None for
+    a model without a closed-form delta.
     """
 
     scheme: str
@@ -46,13 +47,15 @@ class EnergyReport:
     e_a: float
     e_b: float
     delta: float
-    closed_form: float
+    closed_form: Optional[float]
     ground_energy: float
     stabilizer_expectations: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         values = [self.theta, *self.axis, self.p_plus, self.p_minus,
-                  self.e_a, self.e_b, self.delta, self.closed_form, self.ground_energy]
+                  self.e_a, self.e_b, self.delta, self.ground_energy]
+        if self.closed_form is not None:
+            values.append(self.closed_form)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("report contains non-finite entries")
         if abs(self.p_plus + self.p_minus - 1.0) > PROB_TOL:
@@ -109,10 +112,15 @@ def sweep_csv_lines(rows: Sequence[Sequence[float]], backend: str):
         yield ",".join([format_float(float(v)) for v in row] + [backend])
 
 
-def write_sweep_csv(path: str, rows: Sequence[Sequence[float]], backend: str):
+def write_sweep_csv(path: str, blocks: Sequence[tuple[Sequence[Sequence[float]], str]]):
+    """Write (rows, backend tag) blocks as one table under a single header."""
     try:
         with open(path, "w") as fh:
-            for line in sweep_csv_lines(rows, backend):
-                fh.write(line + "\n")
+            for i, (rows, backend) in enumerate(blocks):
+                lines = sweep_csv_lines(rows, backend)
+                if i > 0:
+                    next(lines)  # the header
+                for line in lines:
+                    fh.write(line + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep table to {path}: {exc}") from exc

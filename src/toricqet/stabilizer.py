@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .pauli import PauliPolynomial, PauliString, phase_value
 
 
@@ -49,21 +47,10 @@ class StabilizerGroup:
         self.n_qubits = n
         self.generators = generators
         self.signs = signs
-        self.symplectic_matrix = self._symplectic_matrix(generators)
         # pivot column -> (reduced row vector, combination of original rows),
         # both packed as ints (bit j of a vector = column j, x part then z part).
         self._pivots: dict[int, tuple[int, int]] = {}
         self._build_echelon()
-
-    @staticmethod
-    def _symplectic_matrix(generators: Sequence[PauliString]) -> np.ndarray:
-        n = generators[0].n_qubits
-        mat = np.zeros((len(generators), 2 * n), dtype=np.uint8)
-        for i, g in enumerate(generators):
-            for j in range(n):
-                mat[i, j] = (g.x_bits >> j) & 1
-                mat[i, n + j] = (g.z_bits >> j) & 1
-        return mat
 
     def _vec(self, x_bits: int, z_bits: int) -> int:
         return x_bits | (z_bits << self.n_qubits)

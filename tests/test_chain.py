@@ -17,7 +17,7 @@ from toricqet.chain import (
 )
 from toricqet.optimize import GridSpec
 from toricqet.pauli import PauliPolynomial, PauliString
-from toricqet.protocol import LoccParams
+from toricqet.protocol import LoccParams, StatevectorBackend
 from toricqet import statevector as sv
 
 # Established with an independent dense-eigensolver sweep; equals 2/sqrt(5) - 1
@@ -66,14 +66,15 @@ class TestBuildChain:
     def test_ferromagnetic_correlation(self, pair):
         # positive alignment, exactly 1/sqrt(5) for the two-site model
         zz = PauliPolynomial.from_string(PauliString.from_support(2, [0, 1], "z"))
-        assert pair.expect(zz).real == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
+        assert StatevectorBackend.from_state(pair.ground).expect(zz).real == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
 
     def test_zero_coupling_uncorrelated(self):
         model = build_chain(3, coupling=0.0)
         zz = PauliPolynomial.from_string(PauliString.from_support(3, [0, 1], "z"))
         z0 = PauliPolynomial.from_string(PauliString.single(3, 0, "z"))
         z1 = PauliPolynomial.from_string(PauliString.single(3, 1, "z"))
-        connected = model.expect(zz).real - model.expect(z0).real * model.expect(z1).real
+        expect = StatevectorBackend.from_state(model.ground).expect
+        connected = expect(zz).real - expect(z0).real * expect(z1).real
         assert connected == pytest.approx(0.0, abs=1e-12)
 
 
@@ -128,6 +129,16 @@ class TestQetRun:
         locc = {1: LoccParams(0.0, (1.0, 0.0, 0.0)), -1: LoccParams(math.pi / 2, (0.0, 1.0, 0.0))}
         rep = qet_run(pair, locc)
         assert rep.delta < 0.0
+
+    def test_report_has_no_closed_form(self, pair):
+        rep = qet_run(pair, LoccParams(0.3, (0.0, 1.0, 0.0)))
+        assert rep.closed_form is None
+        assert rep.to_dict()["closed_form"] is None
+
+    def test_p_minus_is_measured(self, pair):
+        rep = qet_run(pair, LoccParams(0.0, (0.0, 0.0, 1.0)))
+        m_minus = measurement_projectors(pair)[-1]
+        assert rep.p_minus == StatevectorBackend.from_state(pair.ground).expect(m_minus).real
 
     def test_post_measurement_terms_keys(self, pair):
         terms = post_measurement_terms(pair)

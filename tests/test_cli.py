@@ -1,11 +1,12 @@
 """End-to-end command-line behavior: output lines, files, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from toricqet.cli import main
+from toricqet.cli import CONFIG_KEYS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,15 +73,12 @@ class TestNogoScan:
         assert report["delta"] == pytest.approx(report["closed_form"], abs=1e-9)
         assert report["E_A"] == pytest.approx(2.0)
 
-    def test_runs_are_deterministic(self, capsys, tmp_path, monkeypatch):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
-        for path, threads in zip(paths, ("1", "1", "4")):
-            monkeypatch.setenv("TORICQET_THREADS", threads)
+    def test_runs_are_deterministic(self, capsys, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
             code, _, _ = run(capsys, "nogo-scan", "--L", "2", *FAST_GRID, "--out", str(path))
             assert code == 0
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1]
-        assert blobs[0] == blobs[2]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_sector_choice_scans_clean(self, capsys):
         code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--sector", "-1", "-1", *FAST_GRID)
@@ -91,12 +89,6 @@ class TestNogoScan:
         code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--independent", *FAST_GRID)
         assert code == 0
         assert "k=+1" in out and "k=-1" in out
-
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORICQET_THREADS", "many")
-        code, _, err = run(capsys, "nogo-scan", "--L", "2", *FAST_GRID)
-        assert code == 2
-        assert "TORICQET_THREADS" in err
 
 
 class TestControl:
@@ -127,6 +119,33 @@ class TestControl:
         assert code == 0
         report = json.loads(json_path.read_text())
         assert report["delta"] == pytest.approx(-0.10557280900008412, abs=1e-9)
+        assert report["closed_form"] is None
+
+
+def golden_digests() -> dict:
+    lines = (GOLDEN / "artifacts.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+class TestGoldenArtifacts:
+    """Default-grid artifacts stay byte-identical to the recorded digests."""
+
+    def test_nogo_scan_both_backends(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        json_path = tmp_path / "argmin.json"
+        code, _, _ = run(capsys, "nogo-scan", "--L", "2", "--backend", "both",
+                         "--out", str(csv_path), "--json", str(json_path))
+        assert code == 0
+        want = golden_digests()
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want["nogo-scan-L2-both.csv"]
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == want["nogo-scan-L2-both.json"]
+
+    def test_control_sweep_table(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "control", "--sites", "2", "--out", str(csv_path))
+        assert code == 0
+        want = golden_digests()["control-sites2.csv"]
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
 
 
 class TestDescribe:
@@ -182,6 +201,17 @@ class TestConfigFile:
         code, _, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_type_checked(self, capsys, tmp_path, key):
+        # an object fits no key; true is an int to Python but no key's integer
+        wrong = 1 if key in ("refine", "independent") else True
+        for value in ({"nested": 1}, wrong):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({key: value}))
+            code, _, err = run(capsys, "describe", "--config", str(cfg))
+            assert code == 2
+            assert repr(key) in err
 
     def test_grid_keys_reach_other_commands(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -133,12 +133,6 @@ class TestQuadraticResponse:
                 params = LoccParams(float(thetas[ti]), tuple(float(v) for v in axes[mi]))
                 assert grid[ti, mi] == pytest.approx(resp.delta(params), abs=1e-12)
 
-    def test_sweep_thread_count_irrelevant(self, lat2):
-        resp = self._response(lat2)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 33)
-        axes = fibonacci_sphere(40)
-        assert np.array_equal(resp.sweep(thetas, axes, threads=1), resp.sweep(thetas, axes, threads=4))
-
 
 class TestOptimize:
     GRID = GridSpec(theta_count=33, sphere_count=64)
@@ -184,13 +178,6 @@ class TestOptimize:
     def test_with_table_false_omits_table(self, lat2):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID, with_table=False)
         assert result.table is None
-
-    def test_threads_do_not_change_result(self, lat2):
-        scheme = lat2.full_region_scheme()
-        r1 = optimize_locc(lat2, scheme, self.GRID, threads=1)
-        r4 = optimize_locc(lat2, scheme, self.GRID, threads=4)
-        assert r1.min_delta == r4.min_delta
-        assert np.array_equal(r1.table, r4.table)
 
     def test_refinement_never_above_grid(self, lat2):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID)

@@ -66,14 +66,14 @@ class TestMeasurementOps:
     def test_outcomes_equally_likely(self, L):
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
-        p_plus, p_minus = outcome_probabilities(scheme, StabilizerBackend(lat))
+        p_plus, p_minus = outcome_probabilities(scheme, lat, StabilizerBackend(lat))
         assert p_plus == pytest.approx(0.5)
         assert p_minus == pytest.approx(0.5)
 
     def test_probabilities_match_statevector(self, lat2):
         scheme = lat2.full_region_scheme()
-        want = outcome_probabilities(scheme, StatevectorBackend(lat2))
-        got = outcome_probabilities(scheme, StabilizerBackend(lat2))
+        want = outcome_probabilities(scheme, lat2, StatevectorBackend(lat2))
+        got = outcome_probabilities(scheme, lat2, StabilizerBackend(lat2))
         assert got == pytest.approx(want, abs=1e-12)
 
 

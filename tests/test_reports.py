@@ -90,7 +90,7 @@ class TestCsv:
 
     def test_write_and_read_back(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), [self.ROW, self.ROW], "statevector")
+        write_sweep_csv(str(path), [([self.ROW, self.ROW], "statevector")])
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split(",") == list(SWEEP_COLUMNS)
@@ -100,4 +100,12 @@ class TestCsv:
     def test_write_error_names_path(self, tmp_path):
         bad = tmp_path / "missing" / "sweep.csv"
         with pytest.raises(OSError, match="sweep"):
-            write_sweep_csv(str(bad), [self.ROW], "stabilizer")
+            write_sweep_csv(str(bad), [([self.ROW], "stabilizer")])
+
+    def test_blocks_share_one_header(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(str(path), [([self.ROW], "stabilizer"), ([self.ROW, self.ROW], "statevector")])
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert [ln for ln in lines if ln.startswith("theta")] == [lines[0]]
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["stabilizer", "statevector", "statevector"]
