@@ -13,6 +13,7 @@ per-outcome parameters (the most general single-step strategy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,12 +79,15 @@ def build_chain(
         raise ValueError("sites out of range")
     if site_a == site_b:
         raise ValueError("measured and rotated sites must differ")
+    for name, value in (("coupling", coupling), ("field", field)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     ham = chain_hamiltonian(n, coupling, field)
     mat = sv.poly_to_dense(ham)
     evals, evecs = np.linalg.eigh(mat)
     ground = sv.StateVector(n, np.ascontiguousarray(evecs[:, 0]))
     residual = float(np.linalg.norm(mat @ ground.amplitudes - evals[0] * ground.amplitudes))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise AssertionError(f"eigensolver residual {residual:.3e} too large")
     return ChainModel(
         n_qubits=n,

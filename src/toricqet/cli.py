@@ -52,7 +52,6 @@ class RunConfig:
     backend: str = "stabilizer"
     theta_count: int = 129
     sphere_count: int = 512
-    refine: bool = True
     independent: bool = False
     seed: int = 0
     samples: int = 5
@@ -87,7 +86,7 @@ class RunConfig:
         return lat.scheme_from_edges(self.edges)
 
     def grid(self) -> GridSpec:
-        return GridSpec(theta_count=self.theta_count, sphere_count=self.sphere_count, refine=self.refine)
+        return GridSpec(theta_count=self.theta_count, sphere_count=self.sphere_count)
 
 
 def _split_optional(hint) -> tuple[bool, type]:
@@ -184,7 +183,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     def grid_flags(p):
         p.add_argument("--theta-count", type=int, default=129, dest="theta_count")
         p.add_argument("--sphere-count", type=int, default=512, dest="sphere_count")
-        p.add_argument("--no-refine", action="store_false", dest="refine")
 
     p_verify = add_command("verify", help="run the structural checks")
     lattice_flags(p_verify)
@@ -236,6 +234,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
 
 def _sample_params(cfg: RunConfig) -> list[LoccParams]:
+    if cfg.samples < 0:
+        raise ValueError(f"samples must be non-negative, got {cfg.samples}")
     rng = np.random.default_rng(cfg.seed)
     draws = [
         LoccParams(math.pi / 2, (0.0, 1.0, 0.0)),
@@ -372,6 +372,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return COMMANDS[ns.command](cfg)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("capacity error: out of memory (try a smaller lattice or grid)", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,37 +1,44 @@
-"""Grid sweep and refinement searching for an energy-extracting rotation.
+"""Exact minimum over every rotation, and the grid sweep behind the CSV.
 
 Because the conditioned unitary is linear in (cos theta, sin theta), the
-final energy is an exact quadratic form in those coefficients.  For each
-outcome k the sweep precomputes
+final energy is an exact quadratic form in that pair.  For each
+outcome k the response precomputes
 
     h_k      = <M_k H M_k>
     C_k[i]   = <M_k [H, sigma^i] M_k>          (i = x, y, z)
     W_k[i,j] = <M_k sigma^i H sigma^j M_k>
 
-after which every grid point costs O(1):
+after which, with the unit 4-vector w = (cos theta, sin theta n),
 
-    delta(theta, n) = sum_k sin^2 * (n.Re(W_k).n - h_k)
-                            + sin*cos * Re(i k n.C_k).
+    delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
+    r_k = k Re(i C_k).
 
-The identity of this fast path with the direct operator sandwich is part
-of the test suite.  For a fixed axis the theta minimum is analytic, so
-refinement only searches the sphere.
+w covers the unit 3-sphere, so the minimum over all (theta, n) is
+lambda_min(sum_k K_k) for one shared rotation and sum_k lambda_min(K_k) for
+independent per-outcome rotations; the eigenvector is the witness.  The
+grid sweep evaluates the same surface at O(1) per point for the CSV table
+and cross-checks the minimum.  The identity of the quadratic form with the
+direct operator sandwich is part of the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .lattice import MeasurementScheme, ToricLattice
-from .protocol import AXIS_NAMES, OUTCOMES, LoccParams, ProtocolSystem, sigma_poly
+from .protocol import AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, outcome_params, sigma_poly
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-REFINE_VALUE_TOL = 1e-9
-ARGMIN_TOL = 1e-12
+# theta = 0 leaves the state untouched: delta = K_00 = 0 exactly.
+IDLE = LoccParams(0.0, CANONICAL_AXES[0])
+# How far the exact minimum may sit above the grid minimum, relative to the
+# largest entry of sum_k Re W_k: the grid's n.W.n - sum_k h_k cancels terms
+# of that size, so its rounding grows with the lattice.
+GRID_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,6 @@ class GridSpec:
 
     theta_count: int = 129
     sphere_count: int = 512
-    refine: bool = True
 
     def __post_init__(self):
         if self.theta_count < 2 or self.sphere_count < 1:
@@ -65,7 +71,8 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 class QuadraticResponse:
-    """Per-outcome response tensors and the O(1) energy evaluations."""
+    """Per-outcome response tensors, their quadratic forms K_k, and the
+    energy evaluations built on them."""
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
@@ -94,44 +101,31 @@ class QuadraticResponse:
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
         self.w_shared = sum(self.w[k].real for k in OUTCOMES)
         self.r_shared = sum(k * (1j * self.c[k]).real for k in OUTCOMES)
+        self.forms = {}
+        for k in OUTCOMES:
+            form = np.zeros((4, 4))
+            form[0, 1:] = form[1:, 0] = k * (1j * self.c[k]).real / 2.0
+            quad = self.w[k].real
+            form[1:, 1:] = (quad + quad.T) / 2.0 - self.h[k] * np.eye(3)
+            self.forms[k] = form
 
-    # -- scalar evaluations ------------------------------------------------
+    # -- exact evaluations ---------------------------------------------------
 
-    def coefficients(self, axis: Sequence[float], outcome: Optional[int] = None) -> tuple[float, float]:
-        """(a, b) with delta = sin^2 * a + sin*cos * b for this axis."""
-        n = np.asarray(axis, dtype=np.float64)
-        if outcome is None:
-            a = float(n @ self.w_shared @ n) - sum(self.h.values())
-            b = float(self.r_shared @ n)
-        else:
-            a = float(n @ self.w[outcome].real @ n) - self.h[outcome]
-            b = float((outcome * (1j * self.c[outcome]).real) @ n)
-        return a, b
-
-    def delta(self, params: LoccParams) -> float:
-        a, b = self.coefficients(params.axis)
-        s, c = math.sin(params.theta), math.cos(params.theta)
-        return s * s * a + s * c * b
-
-    def delta_independent(self, per_outcome: Mapping[int, LoccParams]) -> float:
+    def delta(self, locc: LoccChoice) -> float:
+        """sum_k w_k^T K_k w_k for a shared or per-outcome choice."""
         total = 0.0
         for k in OUTCOMES:
-            p = per_outcome[k]
-            a, b = self.coefficients(p.axis, outcome=k)
-            s, c = math.sin(p.theta), math.cos(p.theta)
-            total += s * s * a + s * c * b
+            p = outcome_params(locc, k)
+            w = np.array([math.cos(p.theta), *(math.sin(p.theta) * a for a in p.axis)])
+            total += float(w @ self.forms[k] @ w)
         return total
 
-    @staticmethod
-    def best_theta(a: float, b: float) -> tuple[float, float]:
-        """Analytic minimum of sin^2*a + sin*cos*b: (theta*, value)."""
-        value = 0.5 * (a - math.hypot(a, b))
-        theta = -0.5 * math.atan2(b, a)
-        if theta < 0.0:
-            theta += math.pi
-        if abs(b) == 0.0 and a >= 0.0:
-            theta = 0.0
-        return theta, value
+    def minimum(self, independent: bool = False) -> tuple[float, LoccChoice]:
+        """The exact minimum of delta over every rotation, and a witness."""
+        if independent:
+            lowest = {k: _lowest(self.forms[k]) for k in OUTCOMES}
+            return sum(value for value, _ in lowest.values()), {k: p for k, (_, p) in lowest.items()}
+        return _lowest(sum(self.forms.values()))
 
     # -- vectorized sweep ----------------------------------------------------
 
@@ -180,53 +174,16 @@ class OptimizeResult:
         return f"theta={p.theta:.9g} axis=({p.axis[0]:.6g},{p.axis[1]:.6g},{p.axis[2]:.6g})"
 
 
-def _to_unit(vec: np.ndarray) -> tuple[float, float, float]:
-    n = np.asarray(vec, dtype=np.float64)
-    n = n / np.linalg.norm(n)
-    return (float(n[0]), float(n[1]), float(n[2]))
-
-
-def _sphere_from_angles(u: float, v: float) -> np.ndarray:
-    su = math.sin(u)
-    return np.array([su * math.cos(v), su * math.sin(v), math.cos(u)])
-
-
-def _refine_axis(value_of: Callable[[np.ndarray], float], start: np.ndarray):
-    """Compass search over sphere angles; value_of must be cheap."""
-    u = math.acos(max(-1.0, min(1.0, float(start[2]))))
-    v = math.atan2(float(start[1]), float(start[0]))
-    best = value_of(start)
-    step = 0.3
-    while step > 1e-8:
-        improved = False
-        for du, dv in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = _sphere_from_angles(u + du, v + dv)
-            val = value_of(cand)
-            if val < best - 1e-16:
-                best, u, v = val, u + du, v + dv
-                improved = True
-                break
-        if not improved:
-            step *= 0.5
-    return _sphere_from_angles(u, v), best
-
-
-def _minimize_over_axes(resp: QuadraticResponse, axes: np.ndarray, refine: bool, outcome=None):
-    """Best (theta, axis, value) using the analytic theta minimum per axis."""
-    a, b = resp.axis_coefficients(axes, outcome=outcome)
-    values = 0.5 * (a - np.hypot(a, b))
-    best_idx = int(np.argmin(values))
-    best_axis = axes[best_idx]
-
-    def value_of(n: np.ndarray) -> float:
-        aa, bb = resp.coefficients(n, outcome=outcome)
-        return 0.5 * (aa - math.hypot(aa, bb))
-
-    if refine:
-        best_axis, _ = _refine_axis(value_of, best_axis)
-    aa, bb = resp.coefficients(best_axis, outcome=outcome)
-    theta, value = QuadraticResponse.best_theta(aa, bb)
-    return theta, _to_unit(best_axis), value
+def _lowest(form: np.ndarray) -> tuple[float, LoccParams]:
+    """lambda_min(K) and the rotation whose w is its eigenvector, read with
+    cos theta >= 0.  The lowest eigenvalue is never above K_00 = 0; when it
+    is not below 0 either, the idle rotation attains it exactly."""
+    values, vectors = np.linalg.eigh(form)
+    if values[0] >= 0.0:
+        return 0.0, IDLE
+    w = vectors[:, 0] if vectors[0, 0] >= 0.0 else -vectors[:, 0]
+    theta = math.atan2(float(np.linalg.norm(w[1:])), float(w[0]))
+    return float(values[0]), LoccParams.from_direction(theta, w[1:])
 
 
 def optimize_system(
@@ -241,39 +198,21 @@ def optimize_system(
     axes = grid.axes()
     deltas = resp.sweep(thetas, axes)
     grid_min = float(deltas.min())
-    flat_idx = int(deltas.argmin())
-    ti, mi = divmod(flat_idx, len(axes))
-    zero_theta_attains = bool(deltas[0].min() <= grid_min + ARGMIN_TOL)
-
-    if independent:
-        per_outcome = {}
-        total = 0.0
-        for k in OUTCOMES:
-            theta, axis, value = _minimize_over_axes(resp, axes, grid.refine, outcome=k)
-            per_outcome[k] = LoccParams(theta, axis)
-            total += value
-        best_params = per_outcome[1]
-        min_delta = min(total, grid_min)
-    else:
-        per_outcome = None
-        theta, axis, value = _minimize_over_axes(resp, axes, grid.refine)
-        if value < grid_min:
-            best_params = LoccParams(theta, axis)
-            min_delta = value
-        else:
-            best_params = LoccParams(float(thetas[ti]), _to_unit(axes[mi]))
-            min_delta = grid_min
+    min_delta, locc = resp.minimum(independent)
+    scale = max(1.0, float(np.abs(resp.w_shared).max()))
+    if not min_delta <= grid_min + GRID_CHECK_TOL * scale:
+        raise AssertionError(f"exact minimum {min_delta!r} lies above the grid minimum {grid_min!r}")
 
     table = _sweep_table(resp, thetas, axes, deltas) if with_table else None
     return OptimizeResult(
         min_delta=min_delta,
-        params=best_params,
-        per_outcome=per_outcome,
+        params=outcome_params(locc, 1),
+        per_outcome=locc if independent else None,
         grid_min=grid_min,
         table=table,
         p_plus=resp.p_plus,
         e_a=resp.e_a,
-        zero_theta_attains=zero_theta_attains,
+        zero_theta_attains=min_delta >= 0.0,
     )
 
 

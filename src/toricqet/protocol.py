@@ -363,17 +363,11 @@ def verify_local_expectations(lat: ToricLattice, backend=None) -> CheckReport:
     return CheckReport("bare local operators average to zero", tuple(checks))
 
 
-def _adjacent_star_sum(lat: ToricLattice) -> PauliPolynomial:
-    acc = PauliPolynomial.zero(lat.n_qubits)
-    for idx in lat.stars_touching(lat.bob_qubit):
-        acc = acc + PauliPolynomial.from_string(lat.stars()[idx])
-    return acc
-
-
-def _adjacent_plaquette_sum(lat: ToricLattice) -> PauliPolynomial:
-    acc = PauliPolynomial.zero(lat.n_qubits)
-    for idx in lat.plaquettes_touching(lat.bob_qubit):
-        acc = acc + PauliPolynomial.from_string(lat.plaquettes()[idx])
+def _adjacent_sum(n_qubits: int, ops: Sequence[PauliString], touching: Sequence[int]) -> PauliPolynomial:
+    """Sum of the stabilizers ops[i] for i in touching."""
+    acc = PauliPolynomial.zero(n_qubits)
+    for idx in touching:
+        acc = acc + PauliPolynomial.from_string(ops[idx])
     return acc
 
 
@@ -384,8 +378,8 @@ def verify_cross_terms(lat: ToricLattice, scheme: MeasurementScheme, backend=Non
     a nonzero contrast so the zeros are not vacuous."""
     backend = backend or StabilizerBackend(lat)
     tol = _zero_tol(backend)
-    star_sum = _adjacent_star_sum(lat)
     n = lat.n_qubits
+    star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(lat.bob_qubit))
     checks = []
     for i, j in (("z", "x"), ("x", "y")):
         pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
@@ -447,8 +441,8 @@ def verify_derivation_chain(
     checks.append(Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst))
 
     # (b) [H, n.sigma] = -2 nx B sx - 2 ny (A+B) sy - 2 nz A sz at the target.
-    star_sum = _adjacent_star_sum(lat)
-    plaq_sum = _adjacent_plaquette_sum(lat)
+    star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(bob))
+    plaq_sum = _adjacent_sum(n, lat.plaquettes(), lat.plaquettes_touching(bob))
     expected = (
         plaq_sum.mul(sigma_poly(n, bob, "x")).scale(-2.0 * nx)
         + (star_sum + plaq_sum).mul(sigma_poly(n, bob, "y")).scale(-2.0 * ny)

@@ -49,6 +49,12 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_negative_samples_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--L", "2", "--samples", "-3")
+        assert code == 2
+        assert out == ""
+        assert "samples" in err and len(err.splitlines()) == 1
+
 
 class TestNogoScan:
     def test_confirms_and_writes_csv(self, capsys, tmp_path):
@@ -90,6 +96,15 @@ class TestNogoScan:
         assert code == 0
         assert "k=+1" in out and "k=-1" in out
 
+    def test_out_of_memory_is_capacity_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("toricqet.cli.optimize_locc", exhausted)
+        code, _, err = run(capsys, "nogo-scan", "--L", "2", *FAST_GRID)
+        assert code == 2
+        assert err.startswith("capacity error") and len(err.splitlines()) == 1
+
 
 class TestControl:
     def test_detects_extraction_on_chain(self, capsys):
@@ -107,6 +122,14 @@ class TestControl:
         code, out, _ = run(capsys, "control", "--sites", "2", "--shared", *FAST_GRID)
         assert code == 1
         assert "CONTROL: NO QET" in out
+
+    @pytest.mark.parametrize("flag", ["--coupling", "--field"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "control", "--sites", "2", flag, value, *FAST_GRID)
+        assert code == 2
+        assert "CONTROL" not in out
+        assert flag[2:] in err and len(err.splitlines()) == 1
 
     def test_chain_too_long_is_usage_error(self, capsys):
         code, _, err = run(capsys, "control", "--sites", "7", *FAST_GRID)
@@ -205,7 +228,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
     def test_every_key_type_checked(self, capsys, tmp_path, key):
         # an object fits no key; true is an int to Python but no key's integer
-        wrong = 1 if key in ("refine", "independent") else True
+        wrong = 1 if key == "independent" else True
         for value in ({"nested": 1}, wrong):
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({key: value}))

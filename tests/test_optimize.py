@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
 from toricqet.optimize import (
     CANONICAL_AXES,
@@ -19,6 +20,7 @@ from toricqet.protocol import (
     LoccParams,
     StabilizerBackend,
     StatevectorBackend,
+    direct_energy,
     energy_after_locc,
     locc_unitary,
 )
@@ -97,30 +99,12 @@ class TestQuadraticResponse:
                 raw_b += backend.expect(staged.adjoint().mul(ham).mul(staged)).real
             e_b = raw_b - lat2.ground_energy()
             want = e_b - resp.e_a
-            assert resp.delta_independent(per_outcome) == pytest.approx(want, abs=1e-10)
+            assert resp.delta(per_outcome) == pytest.approx(want, abs=1e-10)
 
     def test_response_stats(self, lat2):
         resp = self._response(lat2)
         assert resp.p_plus == pytest.approx(0.5)
         assert resp.e_a == pytest.approx(2.0)
-
-    def test_best_theta_analytic(self):
-        rng = np.random.default_rng(157)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 20001)
-        s, c = np.sin(thetas), np.cos(thetas)
-        for _ in range(50):
-            a = rng.uniform(-3.0, 3.0)
-            b = rng.uniform(-3.0, 3.0)
-            theta_star, value = QuadraticResponse.best_theta(a, b)
-            sampled = a * s * s + b * s * c
-            assert value <= sampled.min() + 1e-7
-            at_star = a * math.sin(theta_star) ** 2 + b * math.sin(theta_star) * math.cos(theta_star)
-            assert at_star == pytest.approx(value, abs=1e-12)
-
-    def test_best_theta_prefers_zero_when_flat(self):
-        theta_star, value = QuadraticResponse.best_theta(1.5, 0.0)
-        assert theta_star == 0.0
-        assert value == 0.0
 
     def test_sweep_matches_pointwise(self, lat2):
         resp = self._response(lat2)
@@ -132,6 +116,58 @@ class TestQuadraticResponse:
             for mi in (0, 2, 4):
                 params = LoccParams(float(thetas[ti]), tuple(float(v) for v in axes[mi]))
                 assert grid[ti, mi] == pytest.approx(resp.delta(params), abs=1e-12)
+
+
+class TestExactMinimum:
+    """The eigenvalue minimum against a dense (theta, n) sample and the
+    direct sandwich at its witness, on chains where it is not trivially 0."""
+
+    # (chain size, site_a, site_b, coupling, field)
+    CHAINS = ((2, 0, 1, 1.0, 1.0), (3, 0, 1, 0.7, 1.3), (4, 1, 2, 1.0, 0.6))
+    DENSE_THETAS = np.linspace(0.0, 2.0 * math.pi, 721)
+    DENSE_AXES = np.vstack([np.array(CANONICAL_AXES), fibonacci_sphere(2000)])
+
+    def _sampled_min(self, resp, independent):
+        s, c = np.sin(self.DENSE_THETAS), np.cos(self.DENSE_THETAS)
+        outcomes = (1, -1) if independent else (None,)
+        total = 0.0
+        for k in outcomes:
+            a, b = resp.axis_coefficients(self.DENSE_AXES, outcome=k)
+            total += float((np.outer(s * s, a) + np.outer(s * c, b)).min())
+        return total
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_below_dense_sample_and_attained(self, axis, independent):
+        linear = 0.0
+        for n, site_a, site_b, coupling, field in self.CHAINS:
+            system = protocol_system(build_chain(n, coupling, field, site_a, site_b), axis)
+            resp = QuadraticResponse(system)
+            min_delta, witness = resp.minimum(independent)
+            assert min_delta <= self._sampled_min(resp, independent) + 1e-12
+            assert resp.delta(witness) == pytest.approx(min_delta, abs=1e-12)
+            assert direct_energy(system, witness, include_profile=False).delta == pytest.approx(
+                min_delta, abs=1e-10
+            )
+            linear = max(linear, max(abs(resp.forms[k][0, 1:]).max() for k in (1, -1)))
+        if axis != "x":
+            assert linear > 1e-3  # r != 0: the theta-linear term takes part
+
+    def test_optimize_system_reports_the_exact_minimum(self):
+        system = protocol_system(build_chain(3, 0.7, 1.3, 0, 1), "y")
+        resp = QuadraticResponse(system)
+        for independent in (False, True):
+            result = optimize_system(system, GridSpec(theta_count=9, sphere_count=8), independent=independent)
+            assert result.min_delta == resp.minimum(independent)[0]
+            assert result.min_delta < result.grid_min
+            assert not result.zero_theta_attains
+
+    def test_torus_minimum_is_exactly_zero(self):
+        lat = ToricLattice(8)
+        result = optimize_locc(lat, lat.full_region_scheme(), with_table=False)
+        assert result.min_delta == 0.0
+        assert result.params == LoccParams(0.0, (1.0, 0.0, 0.0))
+        assert result.zero_theta_attains
 
 
 class TestOptimize:
