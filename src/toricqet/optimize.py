@@ -39,6 +39,9 @@ IDLE = LoccParams(0.0, CANONICAL_AXES[0])
 # largest entry of sum_k Re W_k: the grid's n.W.n - sum_k h_k cancels terms
 # of that size, so its rounding grows with the lattice.
 GRID_CHECK_TOL = 1e-12
+# A lowest eigenvalue in [-NOISE_TOL * max(1, max|K|), 0) is taken as 0: K
+# built from a float statevector carries rounding of that relative size.
+NOISE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,17 +132,9 @@ class QuadraticResponse:
 
     # -- vectorized sweep ----------------------------------------------------
 
-    def axis_coefficients(self, axes: np.ndarray, outcome: Optional[int] = None):
-        if outcome is None:
-            quad = self.w_shared
-            lin = self.r_shared
-            offset = sum(self.h.values())
-        else:
-            quad = self.w[outcome].real
-            lin = outcome * (1j * self.c[outcome]).real
-            offset = self.h[outcome]
-        a = np.einsum("mi,ij,mj->m", axes, quad, axes) - offset
-        b = axes @ lin
+    def axis_coefficients(self, axes: np.ndarray):
+        a = np.einsum("mi,ij,mj->m", axes, self.w_shared, axes) - sum(self.h.values())
+        b = axes @ self.r_shared
         return a, b
 
     def sweep(self, thetas: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -177,13 +172,15 @@ class OptimizeResult:
 def _lowest(form: np.ndarray) -> tuple[float, LoccParams]:
     """lambda_min(K) and the rotation whose w is its eigenvector, read with
     cos theta >= 0.  The lowest eigenvalue is never above K_00 = 0; when it
-    is not below 0 either, the idle rotation attains it exactly."""
+    is not below -NOISE_TOL * max(1, max|K|) either, it is rounding noise
+    of a true 0 and the idle rotation attains that exactly."""
     values, vectors = np.linalg.eigh(form)
-    if values[0] >= 0.0:
+    if values[0] >= -NOISE_TOL * max(1.0, float(np.abs(form).max())):
         return 0.0, IDLE
     w = vectors[:, 0] if vectors[0, 0] >= 0.0 else -vectors[:, 0]
     theta = math.atan2(float(np.linalg.norm(w[1:])), float(w[0]))
-    return float(values[0]), LoccParams.from_direction(theta, w[1:])
+    # + 0.0 turns -0.0 components into 0.0, so no axis prints as -0.
+    return float(values[0]), LoccParams.from_direction(theta, w[1:] + 0.0)
 
 
 def optimize_system(

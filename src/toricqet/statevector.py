@@ -5,13 +5,21 @@ Basis states are integers whose bit j is the Z eigenvalue of qubit j
 
     P |b> = i^p * (-1)^popcount(z & b) |b XOR x>
 
-which vectorizes over the whole amplitude array.  Everything here is
-exponential in qubit count and guarded by explicit capacity limits.
+which vectorizes over the whole amplitude array.  Expectations only read
+the state's nonzero support S (for the toric ground state, the 2^(L^2-1)
+basis states of one star-group orbit):
+
+    <psi|P|psi> = sum_{b in S} conj(psi[b]) i^p (-1)^popcount(z & (b XOR x)) psi[b XOR x]
+
+Every b outside S contributes exactly 0.  States are still built densely,
+so everything here is exponential in qubit count and guarded by explicit
+capacity limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +63,12 @@ class StateVector:
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[bits] = 1.0
         return cls(n_qubits, amps)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Indices of the nonzero amplitudes, ascending.  Computed once, so
+        the amplitudes must not be changed in place afterwards."""
+        return np.flatnonzero(self.amplitudes).astype(np.uint64)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -100,12 +114,35 @@ def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
     return StateVector(state.n_qubits, total)
 
 
+def _gather_bare(x_bits: int, z_bits: int, state: StateVector) -> np.ndarray:
+    """(X^x Z^z psi)[S]: psi gathered at S XOR x with the sign of the source,
+    the same float operations the dense apply does on those elements."""
+    src = state.support
+    if x_bits:
+        src = src ^ np.uint64(x_bits)
+    vals = state.amplitudes[src]
+    if z_bits:
+        parity = np.bitwise_count(src & np.uint64(z_bits)).astype(np.int64) & 1
+        vals = vals * (1.0 - 2.0 * parity)
+    return vals
+
+
 def string_expectation(p: PauliString, state: StateVector) -> complex:
-    return complex(np.vdot(state.amplitudes, apply_string(p, state).amplitudes))
+    if p.n_qubits != state.n_qubits:
+        raise ValueError("string and state act on different qubit counts")
+    vals = _gather_bare(p.x_bits, p.z_bits, state)
+    if p.phase_exp:
+        vals = vals * phase_value(p.phase_exp)
+    return complex(np.vdot(state.amplitudes[state.support], vals))
 
 
 def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    return complex(np.vdot(state.amplitudes, apply_poly(poly, state).amplitudes))
+    if poly.n_qubits != state.n_qubits:
+        raise ValueError("polynomial and state act on different qubit counts")
+    total = np.zeros(len(state.support), dtype=np.complex128)
+    for (x, z), coeff in poly.terms.items():
+        total += coeff * _gather_bare(x, z, state)
+    return complex(np.vdot(state.amplitudes[state.support], total))
 
 
 def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVector:

@@ -123,6 +123,20 @@ class TestControl:
         assert code == 1
         assert "CONTROL: NO QET" in out
 
+    def test_noise_minimum_prints_zero(self, capsys):
+        code, out, _ = run(capsys, "control", "--sites", "4", "--shared", "--axis", "x", *FAST_GRID)
+        assert code == 1
+        assert out.splitlines()[-1] == "CONTROL: NO QET, min delta = 0"
+
+    def test_witness_axes_carry_no_negative_zero(self, capsys, tmp_path):
+        json_path = tmp_path / "control.json"
+        code, out, _ = run(capsys, "control", "--sites", "2", *FAST_GRID, "--json", str(json_path))
+        assert code == 0
+        assert "k=+1: theta=0 axis=(1,0,0); k=-1: theta=1.57079633 axis=(0,1,0)" in out
+        report = json.loads(json_path.read_text())
+        assert report["theta"] == 0.0 and report["axis"] == [1.0, 0.0, 0.0]
+        assert "-0.0" not in json_path.read_text()
+
     @pytest.mark.parametrize("flag", ["--coupling", "--field"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_parameter_is_usage_error(self, capsys, flag, value):

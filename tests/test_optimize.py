@@ -9,12 +9,14 @@ from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
 from toricqet.optimize import (
     CANONICAL_AXES,
+    IDLE,
     GridSpec,
     ProtocolSystem,
     QuadraticResponse,
     fibonacci_sphere,
     optimize_locc,
     optimize_system,
+    _lowest,
 )
 from toricqet.protocol import (
     LoccParams,
@@ -128,12 +130,15 @@ class TestExactMinimum:
     DENSE_AXES = np.vstack([np.array(CANONICAL_AXES), fibonacci_sphere(2000)])
 
     def _sampled_min(self, resp, independent):
+        """Sampled min of w^T K w, w = (cos theta, sin theta n), per form."""
         s, c = np.sin(self.DENSE_THETAS), np.cos(self.DENSE_THETAS)
-        outcomes = (1, -1) if independent else (None,)
+        forms = [resp.forms[1], resp.forms[-1]] if independent else [sum(resp.forms.values())]
         total = 0.0
-        for k in outcomes:
-            a, b = resp.axis_coefficients(self.DENSE_AXES, outcome=k)
-            total += float((np.outer(s * s, a) + np.outer(s * c, b)).min())
+        for form in forms:
+            quad = np.einsum("mi,ij,mj->m", self.DENSE_AXES, form[1:, 1:], self.DENSE_AXES)
+            lin = 2.0 * self.DENSE_AXES @ form[0, 1:]
+            values = form[0, 0] * (c * c)[:, None] + np.outer(s * s, quad) + np.outer(s * c, lin)
+            total += float(values.min())
         return total
 
     @pytest.mark.parametrize("independent", [False, True])
@@ -161,6 +166,22 @@ class TestExactMinimum:
             assert result.min_delta == resp.minimum(independent)[0]
             assert result.min_delta < result.grid_min
             assert not result.zero_theta_attains
+
+    def test_noise_eigenvalue_reads_as_idle_zero(self):
+        # A true-zero minimum seen through float rounding: lambda_min a hair below 0.
+        form = np.diag([0.0, 1.0, 2.0, -1e-15])
+        assert _lowest(form) == (0.0, IDLE)
+        value, params = _lowest(np.diag([0.0, 1.0, 2.0, -1e-9]))
+        assert value == -1e-9
+        assert params.theta == pytest.approx(math.pi / 2)
+        assert [abs(a) for a in params.axis] == [0.0, 0.0, 1.0]
+        assert all(math.copysign(1.0, a) == 1.0 for a in params.axis[:2])
+
+    def test_chain_noise_minimum_is_idle(self):
+        # The shared form has a true minimum of 0 here; rounding put lambda_min at -7.7e-32.
+        system = protocol_system(build_chain(4, 1.0, 1.0, 0, 1), "x")
+        resp = QuadraticResponse(system)
+        assert resp.minimum(independent=False) == (0.0, IDLE)
 
     def test_torus_minimum_is_exactly_zero(self):
         lat = ToricLattice(8)

@@ -75,6 +75,77 @@ class TestApply:
             apply_string(PauliString.single(3, 0, "x"), state)
 
 
+def reference_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
+    """<psi|P|psi> from the dense kron matrix, or from the dense apply past
+    the kron oracle's reach (which TestApply checks against it)."""
+    amps = state.amplitudes
+    if state.n_qubits <= 10:
+        return complex(np.vdot(amps, dense_poly(poly) @ amps))
+    return complex(np.vdot(amps, apply_poly(poly, state).amplitudes))
+
+
+class TestSupportKernel:
+    """Expectations over the nonzero support equal the full-array ones."""
+
+    def check(self, rng, state, strings):
+        n = state.n_qubits
+        for p in strings:
+            want = reference_expectation(PauliPolynomial.from_strings(n, [(p, 1.0)]), state)
+            assert abs(string_expectation(p, state) - want) <= 1e-12
+        for _ in range(20):
+            picks = rng.choice(len(strings), size=int(rng.integers(1, 6)))
+            poly = PauliPolynomial.from_strings(
+                n, [(strings[i], complex(rng.standard_normal(), rng.standard_normal())) for i in picks]
+            )
+            assert abs(poly_expectation(poly, state) - reference_expectation(poly, state)) <= 1e-12
+
+    def test_dense_state(self):
+        rng = np.random.default_rng(79)
+        state = random_state(rng, 6)
+        assert len(state.support) == 1 << 6
+        self.check(rng, state, [random_string(rng, 6) for _ in range(40)])
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_toric_ground_state(self, L, request):
+        lat = request.getfixturevalue(f"lat{L}")
+        state = request.getfixturevalue(f"gs{L}")
+        assert len(state.support) == 1 << (L * L - 1)
+        rng = np.random.default_rng(83 + L)
+        stabilizers = list(lat.stars()) + list(lat.plaquettes()) + list(lat.z_loops())
+        products = []
+        for _ in range(10):
+            prod = PauliString.identity(lat.n_qubits)
+            for i in rng.choice(len(stabilizers), size=3):
+                prod = prod.mul(stabilizers[i])
+            products.append(prod.mul(PauliString.single(lat.n_qubits, int(rng.integers(lat.n_qubits)), "y")))
+            products.append(prod)
+        strings = stabilizers + products + [random_string(rng, lat.n_qubits) for _ in range(10)]
+        self.check(rng, state, strings)
+        ham = lat.hamiltonian()
+        assert poly_expectation(ham, state) == pytest.approx(reference_expectation(ham, state), abs=1e-12)
+
+    def test_explicit_zeros_mapped_outside_support(self):
+        rng = np.random.default_rng(89)
+        state = random_state(rng, 4)
+        zeros = np.array([1, 2, 7, 8, 13])
+        state.amplitudes[zeros] = 0.0
+        state = state.normalized()
+        support = set(state.support.tolist())
+        assert support == set(range(16)) - set(zeros.tolist())
+        x = 0b0011
+        mapped = {b ^ x for b in support}
+        assert mapped & support and mapped - support  # part of S lands outside S
+        strings = [PauliString(4, x, z, phase) for z in range(16) for phase in range(4)]
+        self.check(rng, state, strings)
+
+    def test_size_mismatch_rejected(self):
+        state = StateVector.basis_state(2, 0)
+        with pytest.raises(ValueError):
+            string_expectation(PauliString.single(3, 0, "x"), state)
+        with pytest.raises(ValueError):
+            poly_expectation(PauliPolynomial.identity(3), state)
+
+
 class TestGroundState:
     def test_L2_ground_facts(self, lat2, gs2):
         assert gs2.norm() == pytest.approx(1.0)
