@@ -39,8 +39,10 @@ IDLE = LoccParams(0.0, CANONICAL_AXES[0])
 # largest entry of sum_k Re W_k: the grid's n.W.n - sum_k h_k cancels terms
 # of that size, so its rounding grows with the lattice.
 GRID_CHECK_TOL = 1e-12
-# A lowest eigenvalue in [-NOISE_TOL * max(1, max|K|), 0) is taken as 0: K
-# built from a float statevector carries rounding of that relative size.
+# On a float (statevector) backend a lowest eigenvalue in
+# [-NOISE_TOL * max(1, max|K|), 0) is taken as 0: K carries rounding of that
+# relative size.  An exact backend's K has no such noise, so there any
+# negative eigenvalue counts.
 NOISE_TOL = 1e-12
 
 
@@ -125,10 +127,11 @@ class QuadraticResponse:
 
     def minimum(self, independent: bool = False) -> tuple[float, LoccChoice]:
         """The exact minimum of delta over every rotation, and a witness."""
+        noise = 0.0 if self.system.backend.exact else NOISE_TOL
         if independent:
-            lowest = {k: _lowest(self.forms[k]) for k in OUTCOMES}
+            lowest = {k: _lowest(self.forms[k], noise) for k in OUTCOMES}
             return sum(value for value, _ in lowest.values()), {k: p for k, (_, p) in lowest.items()}
-        return _lowest(sum(self.forms.values()))
+        return _lowest(sum(self.forms.values()), noise)
 
     # -- vectorized sweep ----------------------------------------------------
 
@@ -169,13 +172,13 @@ class OptimizeResult:
         return f"theta={p.theta:.9g} axis=({p.axis[0]:.6g},{p.axis[1]:.6g},{p.axis[2]:.6g})"
 
 
-def _lowest(form: np.ndarray) -> tuple[float, LoccParams]:
+def _lowest(form: np.ndarray, noise: float = 0.0) -> tuple[float, LoccParams]:
     """lambda_min(K) and the rotation whose w is its eigenvector, read with
     cos theta >= 0.  The lowest eigenvalue is never above K_00 = 0; when it
-    is not below -NOISE_TOL * max(1, max|K|) either, it is rounding noise
-    of a true 0 and the idle rotation attains that exactly."""
+    is not below -noise * max(1, max|K|) either, it is a true 0 (or rounding
+    noise of one) and the idle rotation attains that exactly."""
     values, vectors = np.linalg.eigh(form)
-    if values[0] >= -NOISE_TOL * max(1.0, float(np.abs(form).max())):
+    if values[0] >= -noise * max(1.0, float(np.abs(form).max())):
         return 0.0, IDLE
     w = vectors[:, 0] if vectors[0, 0] >= 0.0 else -vectors[:, 0]
     theta = math.atan2(float(np.linalg.norm(w[1:])), float(w[0]))

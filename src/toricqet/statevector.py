@@ -1,18 +1,20 @@
-"""Dense statevector backend, the brute-force cross-check oracle.
+"""Statevector backend, the brute-force cross-check oracle.
 
 Basis states are integers whose bit j is the Z eigenvalue of qubit j
 (qubit 0 is the least significant bit).  A packed string i^p X^x Z^z acts as
 
     P |b> = i^p * (-1)^popcount(z & b) |b XOR x>
 
-which vectorizes over the whole amplitude array.  Expectations only read
-the state's nonzero support S (for the toric ground state, the 2^(L^2-1)
-basis states of one star-group orbit):
+Everything reads only the state's nonzero support S (for the toric ground
+state, the 2^(L^2-1) basis states of one star-group orbit), through one
+gather:
 
-    <psi|P|psi> = sum_{b in S} conj(psi[b]) i^p (-1)^popcount(z & (b XOR x)) psi[b XOR x]
+    (P psi)[r] = i^p (-1)^popcount(z & (r XOR x)) psi[r XOR x]
 
-Every b outside S contributes exactly 0.  States are still built densely,
-so everything here is exponential in qubit count and guarded by explicit
+An apply computes the rows r in S XOR x, the only ones where P psi can be
+nonzero; an expectation sums conj(psi[b]) (P psi)[b] over b in S, since
+every b outside S contributes exactly 0.  Amplitude arrays are still
+dense, so states are exponential in qubit count and guarded by explicit
 capacity limits.
 """
 
@@ -41,17 +43,6 @@ def _check_state_capacity(n_qubits: int):
         )
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(n_qubits: int) -> np.ndarray:
-    idx = _INDEX_CACHE.get(n_qubits)
-    if idx is None:
-        idx = np.arange(1 << n_qubits, dtype=np.uint64)
-        _INDEX_CACHE[n_qubits] = idx
-    return idx
-
-
 @dataclass
 class StateVector:
     n_qubits: int
@@ -68,7 +59,7 @@ class StateVector:
     def support(self) -> np.ndarray:
         """Indices of the nonzero amplitudes, ascending.  Computed once, so
         the amplitudes must not be changed in place afterwards."""
-        return np.flatnonzero(self.amplitudes).astype(np.uint64)
+        return np.flatnonzero(self.amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -83,66 +74,63 @@ class StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
-def _apply_bare(x_bits: int, z_bits: int, amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    idx = _indices(n_qubits)
-    signed = amps
+def _gather(x_bits: int, z_bits: int, amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(X^x Z^z psi)[rows]: psi read at rows XOR x, signed by the parity of
+    z on that source index."""
+    src = rows ^ x_bits if x_bits else rows
+    vals = amps[src]
     if z_bits:
-        parity = np.bitwise_count(idx & np.uint64(z_bits)).astype(np.int64) & 1
-        signed = amps * (1.0 - 2.0 * parity)
-    if x_bits:
-        out = np.empty_like(amps)
-        out[idx ^ np.uint64(x_bits)] = signed
-        return out
-    return signed.copy() if signed is amps else signed
-
-
-def apply_string(p: PauliString, state: StateVector) -> StateVector:
-    if p.n_qubits != state.n_qubits:
-        raise ValueError("string and state act on different qubit counts")
-    out = _apply_bare(p.x_bits, p.z_bits, state.amplitudes, state.n_qubits)
-    if p.phase_exp:
-        out = out * phase_value(p.phase_exp)
-    return StateVector(state.n_qubits, out)
-
-
-def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
-    if poly.n_qubits != state.n_qubits:
-        raise ValueError("polynomial and state act on different qubit counts")
-    total = np.zeros_like(state.amplitudes)
-    for (x, z), coeff in poly.terms.items():
-        total += coeff * _apply_bare(x, z, state.amplitudes, state.n_qubits)
-    return StateVector(state.n_qubits, total)
-
-
-def _gather_bare(x_bits: int, z_bits: int, state: StateVector) -> np.ndarray:
-    """(X^x Z^z psi)[S]: psi gathered at S XOR x with the sign of the source,
-    the same float operations the dense apply does on those elements."""
-    src = state.support
-    if x_bits:
-        src = src ^ np.uint64(x_bits)
-    vals = state.amplitudes[src]
-    if z_bits:
-        parity = np.bitwise_count(src & np.uint64(z_bits)).astype(np.int64) & 1
+        parity = np.bitwise_count(src & z_bits).astype(np.int64) & 1
         vals = vals * (1.0 - 2.0 * parity)
     return vals
 
 
+def _check_size(op, state: StateVector):
+    if op.n_qubits != state.n_qubits:
+        raise ValueError("operator and state act on different qubit counts")
+
+
+def _apply(terms, state: StateVector) -> StateVector:
+    """sum_k c_k P_k psi.  Term k is nonzero only on the rows S XOR x_k, so
+    only those are computed; every other amplitude stays 0."""
+    out = np.zeros(len(state.amplitudes), dtype=np.complex128)
+    for (x, z), coeff in terms:
+        rows = state.support ^ x if x else state.support
+        out[rows] += coeff * _gather(x, z, state.amplitudes, rows)
+    return StateVector(state.n_qubits, out)
+
+
+def _expectation(terms, state: StateVector) -> complex:
+    """<psi| sum_k c_k P_k |psi>, read on the support S alone."""
+    rows = state.support
+    total = np.zeros(len(rows), dtype=np.complex128)
+    for (x, z), coeff in terms:
+        total += coeff * _gather(x, z, state.amplitudes, rows)
+    return complex(np.vdot(state.amplitudes[rows], total))
+
+
+def _string_term(p: PauliString):
+    return (((p.x_bits, p.z_bits), phase_value(p.phase_exp)),)
+
+
+def apply_string(p: PauliString, state: StateVector) -> StateVector:
+    _check_size(p, state)
+    return _apply(_string_term(p), state)
+
+
+def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
+    _check_size(poly, state)
+    return _apply(poly.terms.items(), state)
+
+
 def string_expectation(p: PauliString, state: StateVector) -> complex:
-    if p.n_qubits != state.n_qubits:
-        raise ValueError("string and state act on different qubit counts")
-    vals = _gather_bare(p.x_bits, p.z_bits, state)
-    if p.phase_exp:
-        vals = vals * phase_value(p.phase_exp)
-    return complex(np.vdot(state.amplitudes[state.support], vals))
+    _check_size(p, state)
+    return _expectation(_string_term(p), state)
 
 
 def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    if poly.n_qubits != state.n_qubits:
-        raise ValueError("polynomial and state act on different qubit counts")
-    total = np.zeros(len(state.support), dtype=np.complex128)
-    for (x, z), coeff in poly.terms.items():
-        total += coeff * _gather_bare(x, z, state)
-    return complex(np.vdot(state.amplitudes[state.support], total))
+    _check_size(poly, state)
+    return _expectation(poly.terms.items(), state)
 
 
 def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVector:
@@ -150,8 +138,8 @@ def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVe
 
     Starts from the all-zero Z basis state (already a +1 eigenstate of every
     plaquette and both Z loops), flips it into the requested sector with the
-    dual X loops, then projects onto the +1 star sector.  One star projector
-    is redundant because the stars multiply to identity.
+    dual X loops, then applies the +1 star projectors (1 + A_s)/2.  One star
+    projector is redundant because the stars multiply to identity.
     """
     if len(sector) != 2 or any(s not in (1, -1) for s in sector):
         raise ValueError("sector must be a pair of +-1 loop signs")
@@ -162,11 +150,11 @@ def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVe
             for e in flip_edges:
                 bits ^= 1 << e
     state = StateVector.basis_state(lat.n_qubits, bits)
+    identity = PauliString.identity(lat.n_qubits)
     for star in lat.stars()[:-1]:
-        flipped = apply_string(star, state)
-        state = StateVector(lat.n_qubits, 0.5 * (state.amplitudes + flipped.amplitudes))
-    state = state.normalized()
-    return state
+        projector = PauliPolynomial.from_strings(lat.n_qubits, [(identity, 0.5), (star, 0.5)])
+        state = apply_poly(projector, state)
+    return state.normalized()
 
 
 def poly_to_dense(poly: PauliPolynomial) -> np.ndarray:
@@ -176,12 +164,12 @@ def poly_to_dense(poly: PauliPolynomial) -> np.ndarray:
             f"{poly.n_qubits} qubits exceeds the dense-matrix limit of {DENSE_QUBIT_LIMIT}"
         )
     dim = 1 << poly.n_qubits
-    idx = _indices(poly.n_qubits)
+    idx = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for (x, z), coeff in poly.terms.items():
-        parity = np.bitwise_count(idx & np.uint64(z)).astype(np.int64) & 1
+        parity = np.bitwise_count(idx & z).astype(np.int64) & 1
         vals = coeff * (1.0 - 2.0 * parity)
-        mat[(idx ^ np.uint64(x)).astype(np.int64), idx.astype(np.int64)] += vals
+        mat[idx ^ x, idx] += vals
     return mat
 
 

@@ -10,6 +10,7 @@ from toricqet.lattice import ToricLattice
 from toricqet.optimize import (
     CANONICAL_AXES,
     IDLE,
+    NOISE_TOL,
     GridSpec,
     ProtocolSystem,
     QuadraticResponse,
@@ -170,12 +171,24 @@ class TestExactMinimum:
     def test_noise_eigenvalue_reads_as_idle_zero(self):
         # A true-zero minimum seen through float rounding: lambda_min a hair below 0.
         form = np.diag([0.0, 1.0, 2.0, -1e-15])
-        assert _lowest(form) == (0.0, IDLE)
-        value, params = _lowest(np.diag([0.0, 1.0, 2.0, -1e-9]))
+        assert _lowest(form, NOISE_TOL) == (0.0, IDLE)
+        assert _lowest(form)[0] == -1e-15
+        value, params = _lowest(np.diag([0.0, 1.0, 2.0, -1e-9]), NOISE_TOL)
         assert value == -1e-9
         assert params.theta == pytest.approx(math.pi / 2)
         assert [abs(a) for a in params.axis] == [0.0, 0.0, 1.0]
         assert all(math.copysign(1.0, a) == 1.0 for a in params.axis[:2])
+
+    def test_noise_band_only_on_float_backends(self, lat2):
+        # On the exact torus engine a lambda_min inside the noise band is a
+        # real negative minimum, so it must not be read as 0 (NOGO CONFIRMED).
+        lam = -0.5 * NOISE_TOL
+        half = np.diag([0.0, 1.0, 2.0, lam]) / 2.0
+        for backend, want in ((StabilizerBackend(lat2), lam), (StatevectorBackend(lat2), 0.0)):
+            resp = QuadraticResponse(ProtocolSystem.from_toric(lat2, lat2.full_region_scheme(), backend))
+            resp.forms = {1: half, -1: half}
+            assert resp.minimum(independent=False)[0] == want
+            assert resp.minimum(independent=True)[0] == (lam if want else 0.0)
 
     def test_chain_noise_minimum_is_idle(self):
         # The shared form has a true minimum of 0 here; rounding put lambda_min at -7.7e-32.

@@ -75,13 +75,24 @@ class TestApply:
             apply_string(PauliString.single(3, 0, "x"), state)
 
 
+def scatter_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
+    """<psi|P|psi> from a full-array scatter of every term,
+    P|b> = c (-1)^popcount(z & b) |b XOR x>, written independently of the
+    support kernel for states past the kron oracle's reach."""
+    amps = state.amplitudes
+    idx = np.arange(len(amps))
+    out = np.zeros_like(amps)
+    for (x, z), coeff in poly.terms.items():
+        sign = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+        out[idx ^ x] += coeff * sign * amps
+    return complex(np.vdot(amps, out))
+
+
 def reference_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    """<psi|P|psi> from the dense kron matrix, or from the dense apply past
-    the kron oracle's reach (which TestApply checks against it)."""
     amps = state.amplitudes
     if state.n_qubits <= 10:
         return complex(np.vdot(amps, dense_poly(poly) @ amps))
-    return complex(np.vdot(amps, apply_poly(poly, state).amplitudes))
+    return scatter_expectation(poly, state)
 
 
 class TestSupportKernel:
@@ -103,7 +114,11 @@ class TestSupportKernel:
         rng = np.random.default_rng(79)
         state = random_state(rng, 6)
         assert len(state.support) == 1 << 6
-        self.check(rng, state, [random_string(rng, 6) for _ in range(40)])
+        strings = [random_string(rng, 6) for _ in range(40)]
+        self.check(rng, state, strings)
+        # the full-array reference used at L=3 agrees with the kron oracle
+        poly = PauliPolynomial.from_strings(6, [(p, 0.3 - 0.7j) for p in strings[:5]])
+        assert abs(scatter_expectation(poly, state) - reference_expectation(poly, state)) <= 1e-12
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_toric_ground_state(self, L, request):
@@ -137,6 +152,13 @@ class TestSupportKernel:
         assert mapped & support and mapped - support  # part of S lands outside S
         strings = [PauliString(4, x, z, phase) for z in range(16) for phase in range(4)]
         self.check(rng, state, strings)
+        # the applies compute only the rows S XOR x; every other row is 0
+        for p in strings + [random_string(rng, 4) for _ in range(20)]:
+            want = dense_string(p) @ state.amplitudes
+            assert np.allclose(apply_string(p, state).amplitudes, want, atol=1e-13)
+            poly = PauliPolynomial.from_strings(4, [(p, 0.5), (random_string(rng, 4), -1.5j)])
+            want = dense_poly(poly) @ state.amplitudes
+            assert np.allclose(apply_poly(poly, state).amplitudes, want, atol=1e-12)
 
     def test_size_mismatch_rejected(self):
         state = StateVector.basis_state(2, 0)
