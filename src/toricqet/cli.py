@@ -178,7 +178,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         p.add_argument("--edges", type=int, nargs="+", default=None,
                        help="explicit measurement support (default: all of region A)")
         p.add_argument("--config", default=None, help="JSON file with RunConfig defaults")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled parameter draws")
 
     def grid_flags(p):
         p.add_argument("--theta-count", type=int, default=129, dest="theta_count")
@@ -186,6 +185,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
     p_verify = add_command("verify", help="run the structural checks")
     lattice_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled parameter draws")
     p_verify.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
                           default="stabilizer")
     p_verify.add_argument("--samples", type=int, default=5,
@@ -216,7 +216,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_ctl.add_argument("--out", default=None, help="write the shared-ansatz sweep CSV here")
     p_ctl.add_argument("--json", dest="json_out", default=None)
     p_ctl.add_argument("--config", default=None)
-    p_ctl.add_argument("--seed", type=int, default=0)
 
     p_desc = add_command("describe", help="emit lattice geometry as JSON")
     p_desc.add_argument("--L", type=int, default=2)

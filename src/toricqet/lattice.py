@@ -21,7 +21,7 @@ east edges of column 0 and the south edges of row 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .pauli import PauliPolynomial, PauliString
 from .stabilizer import StabilizerGroup
@@ -205,8 +205,3 @@ class ToricLattice:
             "x_flips": [list(edges) for edges in self.x_flip_edges],
             "measurement_support": sorted(self.full_region_scheme().edges),
         }
-
-
-def lattice_sizes(max_qubits: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """Filter lattice sizes whose qubit count stays within a capacity bound."""
-    return tuple(L for L in sizes if 2 * L * L <= max_qubits)

@@ -321,21 +321,22 @@ def verify_plaquette_collapse(lat: ToricLattice, scheme: MeasurementScheme, back
     backend = backend or StabilizerBackend(lat)
     checks = []
     support = scheme.edges
-    for idx, edges in enumerate(lat.plaquette_edges):
+    kraus = measurement_ops(scheme)
+    for idx, (edges, plaquette) in enumerate(zip(lat.plaquette_edges, lat.plaquettes())):
         overlap_odd = len(support & set(edges)) % 2 == 1
-        b_poly = PauliPolynomial.from_string(lat.plaquettes()[idx])
+        b_poly = PauliPolynomial.from_string(plaquette)
         r, c = divmod(idx, lat.L)
-        for k in OUTCOMES:
-            m = scheme.kraus(k)
-            sandwich = m.mul(b_poly).mul(m)
+        for k, m in zip(OUTCOMES, kraus):
+            left = m.mul(b_poly)
+            sandwich = left.mul(m)
             if overlap_odd:
                 resid = sandwich.max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} collapses"
             else:
-                resid = sandwich.sub(m.mul(b_poly)).max_abs_coeff()
+                resid = sandwich.sub(left).max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} passes through"
             checks.append(Check(label, resid <= IDENTITY_TOL, resid))
-            want = 0.0 if overlap_odd else backend.expect(m.mul(b_poly)).real
+            want = 0.0 if overlap_odd else backend.expect(left).real
             got = backend.expect(sandwich).real
             resid_e = abs(got - want)
             checks.append(
@@ -380,17 +381,16 @@ def verify_cross_terms(lat: ToricLattice, scheme: MeasurementScheme, backend=Non
     tol = _zero_tol(backend)
     n = lat.n_qubits
     star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(lat.bob_qubit))
+    kraus = measurement_ops(scheme)
     checks = []
     for i, j in (("z", "x"), ("x", "y")):
         pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
-        for k in OUTCOMES:
-            m = scheme.kraus(k)
+        for k, m in zip(OUTCOMES, kraus):
             val = abs(backend.expect(m.mul(pair).mul(star_sum).mul(m)))
             checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", val <= tol, val))
     contrast = 0.0
     pair_yy = sigma_poly(n, lat.bob_qubit, "y").mul(sigma_poly(n, lat.bob_qubit, "y"))
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
+    for m in kraus:
         contrast += backend.expect(m.mul(pair_yy).mul(star_sum).mul(m)).real
     checks.append(Check("contrast: (y,y) term is nonzero", abs(contrast) > 0.5, abs(contrast), contrast=True))
     return CheckReport("rotation cross terms vanish", tuple(checks))
@@ -428,12 +428,12 @@ def verify_derivation_chain(
     c = math.cos(params.theta)
     rot_axis = axis_operator(n, bob, params.axis)
     comm = target_commutator(lat, params.axis)
+    kraus = measurement_ops(scheme)
     checks = []
 
     # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
     worst = 0.0
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
+    for k, m in zip(OUTCOMES, kraus):
         u = locc_unitary(params, k, bob, n)
         lhs = m.mul(u.adjoint()).mul(ham).mul(u).mul(m)
         rhs = m.mul(ham).mul(m) + m.mul(u.adjoint()).mul(comm).mul(m).scale(1j * k * s)
@@ -453,15 +453,13 @@ def verify_derivation_chain(
 
     # (c) sum_k i k (sin 2 theta / 2) <M [H, n.sigma] M> = 0.
     linear = 0.0 + 0.0j
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
+    for k, m in zip(OUTCOMES, kraus):
         linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * backend.expect(m.mul(comm).mul(m))
     checks.append(Check("linear rotation term vanishes", abs(linear) <= MATCH_TOL, abs(linear)))
 
     # (d) sin^2(theta) sum_k <M n.sigma [H, n.sigma] M> equals the direct delta.
     quad = 0.0
-    for k in OUTCOMES:
-        m = scheme.kraus(k)
+    for m in kraus:
         quad += (s * s) * backend.expect(m.mul(rot_axis).mul(comm).mul(m)).real
     report = energy_after_locc(scheme, params, lat, backend, include_profile=False)
     resid_d = abs(quad - report.delta)

@@ -14,7 +14,7 @@ immutable after construction, so concurrent read-only queries are safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .pauli import PauliPolynomial, PauliString, phase_value
 
@@ -100,31 +100,6 @@ class StabilizerGroup:
 
     # -- queries -----------------------------------------------------------
 
-    def membership(self, p: PauliString) -> Optional[int]:
-        """Sign of p in the group (+-1), or None if p is outside.
-
-        Rejects non-Hermitian strings: their expectations are complex and
-        handled at the polynomial level instead.
-        """
-        if p.n_qubits != self.n_qubits:
-            raise ValueError("string and group act on different qubit counts")
-        if not p.is_hermitian():
-            raise ValueError(f"string {p.label()} is not Hermitian")
-        comb = self._solve(p.x_bits, p.z_bits)
-        if comb is None:
-            return None
-        group_phase = self._replay_phase(comb)
-        offset = (p.phase_exp - group_phase) % 4
-        if offset == 0:
-            return 1
-        if offset == 2:
-            return -1
-        raise AssertionError("phase offset of Hermitian strings must be 0 or 2")
-
-    def expectation(self, p: PauliString) -> float:
-        sign = self.membership(p)
-        return 0.0 if sign is None else float(sign)
-
     def poly_expectation(self, poly: PauliPolynomial) -> complex:
         """Exact ground-state expectation of a Pauli polynomial."""
         if poly.n_qubits != self.n_qubits:
@@ -137,7 +112,3 @@ class StabilizerGroup:
             # bare term = i^{-q} * (group element), so <bare> = i^{-q}.
             total += coeff * phase_value(-self._replay_phase(comb))
         return total
-
-    def with_signs(self, signs: Iterable[int]) -> "StabilizerGroup":
-        """Same generators with a different sign assignment (other sector)."""
-        return StabilizerGroup(self.generators, tuple(signs))

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import ToricLattice
-from .pauli import PauliPolynomial, PauliString, phase_value
+from .pauli import PauliPolynomial, PauliString
 
 STATE_QUBIT_LIMIT = 20
 DENSE_QUBIT_LIMIT = 16
@@ -70,9 +70,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.n_qubits, self.amplitudes / n)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 def _gather(x_bits: int, z_bits: int, amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(X^x Z^z psi)[rows]: psi read at rows XOR x, signed by the parity of
@@ -90,47 +87,25 @@ def _check_size(op, state: StateVector):
         raise ValueError("operator and state act on different qubit counts")
 
 
-def _apply(terms, state: StateVector) -> StateVector:
+def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
     """sum_k c_k P_k psi.  Term k is nonzero only on the rows S XOR x_k, so
     only those are computed; every other amplitude stays 0."""
+    _check_size(poly, state)
     out = np.zeros(len(state.amplitudes), dtype=np.complex128)
-    for (x, z), coeff in terms:
+    for (x, z), coeff in poly.terms.items():
         rows = state.support ^ x if x else state.support
         out[rows] += coeff * _gather(x, z, state.amplitudes, rows)
     return StateVector(state.n_qubits, out)
 
 
-def _expectation(terms, state: StateVector) -> complex:
+def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
     """<psi| sum_k c_k P_k |psi>, read on the support S alone."""
+    _check_size(poly, state)
     rows = state.support
     total = np.zeros(len(rows), dtype=np.complex128)
-    for (x, z), coeff in terms:
+    for (x, z), coeff in poly.terms.items():
         total += coeff * _gather(x, z, state.amplitudes, rows)
     return complex(np.vdot(state.amplitudes[rows], total))
-
-
-def _string_term(p: PauliString):
-    return (((p.x_bits, p.z_bits), phase_value(p.phase_exp)),)
-
-
-def apply_string(p: PauliString, state: StateVector) -> StateVector:
-    _check_size(p, state)
-    return _apply(_string_term(p), state)
-
-
-def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
-    _check_size(poly, state)
-    return _apply(poly.terms.items(), state)
-
-
-def string_expectation(p: PauliString, state: StateVector) -> complex:
-    _check_size(p, state)
-    return _expectation(_string_term(p), state)
-
-
-def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    _check_size(poly, state)
-    return _expectation(poly.terms.items(), state)
 
 
 def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVector:
@@ -175,9 +150,5 @@ def poly_to_dense(poly: PauliPolynomial) -> np.ndarray:
 
 def ground_space_dimension(lat: ToricLattice, tol: float = 1e-9) -> int:
     """Degeneracy of the lowest eigenvalue by dense diagonalization."""
-    if lat.n_qubits > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{lat.n_qubits} qubits exceeds the dense-matrix limit of {DENSE_QUBIT_LIMIT}"
-        )
     evals = np.linalg.eigvalsh(poly_to_dense(lat.hamiltonian()))
     return int(np.count_nonzero(evals <= evals[0] + tol))

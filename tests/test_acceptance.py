@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES
 from toricqet.chain import build_chain, optimize_control, qet_run
 from toricqet.lattice import ToricLattice
 from toricqet.optimize import optimize_locc
-from toricqet.pauli import PauliString
+from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.protocol import (
     LoccParams,
     StabilizerBackend,
@@ -151,8 +151,9 @@ def test_criterion_5_ground_state_facts(lat2, gs2):
     ops = list(lat2.stars()) + list(lat2.plaquettes())
     worst = 0.0
     for op in ops:
-        worst = max(worst, abs(group.expectation(op) - 1.0))
-        worst = max(worst, abs(sv.string_expectation(op, gs2) - 1.0))
+        poly = PauliPolynomial.from_string(op)
+        worst = max(worst, abs(group.poly_expectation(poly) - 1.0))
+        worst = max(worst, abs(sv.poly_expectation(poly, gs2) - 1.0))
     ok = abs(e0 + 8.0) <= 1e-10 and multiplicity == 4 and worst <= 1e-10
     record(5, ok, f"E0 = {e0:.12f} (want -8), multiplicity = {multiplicity} (want 4), "
                   f"max |<stabilizer> - 1| = {worst:.3e} over {2 * len(ops)} values (tol 1e-10)")
@@ -194,7 +195,8 @@ def test_criterion_7_backend_equivalence(lat2, gs2):
         z = int(rng.integers(0, 1 << n))
         extra = (x & z).bit_count() % 2
         p = PauliString(n, x, z, (extra + 2 * int(rng.integers(0, 2))) % 4)
-        worst = max(worst, abs(group.expectation(p) - sv.string_expectation(p, gs2)))
+        poly = PauliPolynomial.from_string(p)
+        worst = max(worst, abs(group.poly_expectation(poly) - sv.poly_expectation(poly, gs2)))
     ok = worst <= 1e-10
     record(7, ok, f"{count} random Hermitian strings at L=2, max disagreement = "
                   f"{worst:.3e} (tol 1e-10)")

@@ -266,3 +266,11 @@ class TestUsage:
     def test_bad_sector_values(self, capsys):
         code, _, err = run(capsys, "verify", "--L", "2", "--sector", "1", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["nogo-scan", "control"])
+    def test_seed_only_on_verify(self, capsys, command):
+        # only verify draws random parameters
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toricqet.lattice import EAST, SOUTH, ToricLattice
-from toricqet.pauli import PauliString
+from toricqet.pauli import PauliPolynomial, PauliString
 
 
 class TestIndexing:
@@ -96,8 +96,8 @@ class TestOperators:
         g = lat.ground_group(sector)
         assert len(g.generators) == lat.n_qubits
         l1, l2 = lat.z_loops()
-        assert g.expectation(l1) == sector[0]
-        assert g.expectation(l2) == sector[1]
+        assert g.poly_expectation(PauliPolynomial.from_string(l1)) == sector[0]
+        assert g.poly_expectation(PauliPolynomial.from_string(l2)) == sector[1]
         assert g.poly_expectation(lat.hamiltonian()) == pytest.approx(lat.ground_energy())
 
     def test_bad_sector_rejected(self):

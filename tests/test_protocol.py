@@ -310,10 +310,10 @@ class TestInvariances:
 
 class TestBackendEquivalence:
     def test_random_string_expectations_match(self, lat2, gs2):
-        from toricqet.statevector import string_expectation
+        from toricqet.statevector import poly_expectation
 
         group = lat2.ground_group()
         rng = np.random.default_rng(137)
         for _ in range(3000):
-            p = random_hermitian_string(rng, lat2.n_qubits)
-            assert abs(group.expectation(p) - string_expectation(p, gs2)) < 1e-10
+            poly = PauliPolynomial.from_string(random_hermitian_string(rng, lat2.n_qubits))
+            assert abs(group.poly_expectation(poly) - poly_expectation(poly, gs2)) < 1e-10

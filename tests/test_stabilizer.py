@@ -8,6 +8,11 @@ from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.stabilizer import StabilizerGroup
 
 
+def expect(group: StabilizerGroup, p: PauliString) -> complex:
+    """One string's expectation, through the polynomial query."""
+    return group.poly_expectation(PauliPolynomial.from_string(p))
+
+
 def bell_group(signs=(1, 1)):
     xx = PauliString.from_support(2, [0, 1], "x")
     zz = PauliString.from_support(2, [0, 1], "z")
@@ -44,37 +49,35 @@ class TestConstruction:
 class TestSingleQubit:
     def test_z_up_state(self):
         g = StabilizerGroup([PauliString.single(1, 0, "z")])
-        assert g.expectation(PauliString.single(1, 0, "z")) == 1.0
-        assert g.expectation(PauliString.single(1, 0, "x")) == 0.0
-        assert g.expectation(PauliString.single(1, 0, "y")) == 0.0
-        assert g.membership(PauliString.identity(1)) == 1
+        assert expect(g, PauliString.single(1, 0, "z")) == 1.0
+        assert expect(g, PauliString.single(1, 0, "x")) == 0.0
+        assert expect(g, PauliString.single(1, 0, "y")) == 0.0
+        assert expect(g, PauliString.identity(1)) == 1
 
     def test_z_down_state(self):
         g = StabilizerGroup([PauliString.single(1, 0, "z")], signs=(-1,))
-        assert g.expectation(PauliString.single(1, 0, "z")) == -1.0
+        assert expect(g, PauliString.single(1, 0, "z")) == -1.0
 
     def test_y_state_complex_bare_term(self):
         # |psi> with Y|psi> = |psi>; the bare product XZ has expectation -i.
         g = StabilizerGroup([PauliString.single(1, 0, "y")])
         bare_xz = PauliPolynomial._from_raw(1, {(1, 1): 1.0 + 0.0j})
         assert g.poly_expectation(bare_xz) == pytest.approx(-1j)
-        with pytest.raises(ValueError):
-            g.membership(PauliString(1, 1, 1, 0))  # non-Hermitian string
 
 
 class TestBellState:
     def test_generator_products(self):
         g = bell_group()
         yy = PauliString.from_support(2, [0, 1], "y")
-        assert g.membership(yy) == -1
-        assert g.expectation(PauliString.from_support(2, [0, 1], "x")) == 1.0
-        assert g.expectation(PauliString.from_support(2, [0, 1], "z")) == 1.0
-        assert g.expectation(PauliString.single(2, 0, "x")) == 0.0
+        assert expect(g, yy) == -1
+        assert expect(g, PauliString.from_support(2, [0, 1], "x")) == 1.0
+        assert expect(g, PauliString.from_support(2, [0, 1], "z")) == 1.0
+        assert expect(g, PauliString.single(2, 0, "x")) == 0.0
 
     def test_with_signs(self):
-        g = bell_group().with_signs((1, -1))
-        assert g.expectation(PauliString.from_support(2, [0, 1], "z")) == -1.0
-        assert g.membership(PauliString.from_support(2, [0, 1], "y")) == 1
+        g = StabilizerGroup(bell_group().generators, (1, -1))
+        assert expect(g, PauliString.from_support(2, [0, 1], "z")) == -1.0
+        assert expect(g, PauliString.from_support(2, [0, 1], "y")) == 1
 
     def test_poly_expectation(self):
         g = bell_group()
@@ -103,18 +106,18 @@ class TestBellState:
         for _ in range(500):
             p = random_hermitian_string(rng, 2)
             oracle = np.vdot(vec, dense_string(p) @ vec)
-            assert abs(g.expectation(p) - oracle) < 1e-12
+            assert abs(expect(g, p) - oracle) < 1e-12
 
 
 class TestToricGroups:
     def test_ground_group_expectations_match_statevector(self, lat2, gs2):
-        from toricqet.statevector import string_expectation
+        from toricqet.statevector import poly_expectation
 
         g = lat2.ground_group()
         rng = np.random.default_rng(53)
         for _ in range(2_000):
-            p = random_hermitian_string(rng, lat2.n_qubits)
-            assert abs(g.expectation(p) - string_expectation(p, gs2)) < 1e-10
+            poly = PauliPolynomial.from_string(random_hermitian_string(rng, lat2.n_qubits))
+            assert abs(g.poly_expectation(poly) - poly_expectation(poly, gs2)) < 1e-10
 
     def test_group_element_products(self, lat3):
         # Products of random generator subsets stay in the group with the
@@ -128,18 +131,18 @@ class TestToricGroups:
                 if rng.integers(2):
                     acc = acc.mul(g.generators[i])
                     sign *= g.signs[i]
-            assert g.membership(acc) == sign
+            assert expect(g, acc) == sign
 
     def test_outside_strings_have_zero_expectation(self, lat3):
         g = lat3.ground_group()
         # Single-edge Z string: not a cycle, so outside the group.
-        assert g.expectation(PauliString.single(lat3.n_qubits, 4, "z")) == 0.0
+        assert expect(g, PauliString.single(lat3.n_qubits, 4, "z")) == 0.0
         # Single-edge X string likewise.
-        assert g.expectation(PauliString.single(lat3.n_qubits, 4, "x")) == 0.0
+        assert expect(g, PauliString.single(lat3.n_qubits, 4, "x")) == 0.0
 
     def test_size_mismatch_rejected(self, lat2):
         g = lat2.ground_group()
         with pytest.raises(ValueError):
-            g.expectation(PauliString.single(4, 0, "z"))
+            expect(g, PauliString.single(4, 0, "z"))
         with pytest.raises(ValueError):
             g.poly_expectation(PauliPolynomial.identity(4))

@@ -10,12 +10,10 @@ from toricqet.statevector import (
     CapacityError,
     StateVector,
     apply_poly,
-    apply_string,
     ground_space_dimension,
     ground_state,
     poly_expectation,
     poly_to_dense,
-    string_expectation,
 )
 
 
@@ -32,7 +30,7 @@ class TestApply:
             n = int(rng.integers(1, 7))
             p = random_string(rng, n)
             state = random_state(rng, n)
-            got = apply_string(p, state).amplitudes
+            got = apply_poly(PauliPolynomial.from_string(p), state).amplitudes
             want = dense_string(p) @ state.amplitudes
             assert np.allclose(got, want, atol=1e-13)
 
@@ -67,12 +65,12 @@ class TestApply:
         state = random_state(rng, 4)
         p = PauliString.from_support(4, [1, 3], "y")
         want = np.vdot(state.amplitudes, dense_string(p) @ state.amplitudes)
-        assert string_expectation(p, state) == pytest.approx(want)
+        assert poly_expectation(PauliPolynomial.from_string(p), state) == pytest.approx(want)
 
     def test_size_mismatch_rejected(self):
         state = StateVector.basis_state(2, 0)
         with pytest.raises(ValueError):
-            apply_string(PauliString.single(3, 0, "x"), state)
+            apply_poly(PauliPolynomial.from_string(PauliString.single(3, 0, "x")), state)
 
 
 def scatter_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
@@ -101,8 +99,8 @@ class TestSupportKernel:
     def check(self, rng, state, strings):
         n = state.n_qubits
         for p in strings:
-            want = reference_expectation(PauliPolynomial.from_strings(n, [(p, 1.0)]), state)
-            assert abs(string_expectation(p, state) - want) <= 1e-12
+            poly = PauliPolynomial.from_string(p)
+            assert abs(poly_expectation(poly, state) - reference_expectation(poly, state)) <= 1e-12
         for _ in range(20):
             picks = rng.choice(len(strings), size=int(rng.integers(1, 6)))
             poly = PauliPolynomial.from_strings(
@@ -155,7 +153,7 @@ class TestSupportKernel:
         # the applies compute only the rows S XOR x; every other row is 0
         for p in strings + [random_string(rng, 4) for _ in range(20)]:
             want = dense_string(p) @ state.amplitudes
-            assert np.allclose(apply_string(p, state).amplitudes, want, atol=1e-13)
+            assert np.allclose(apply_poly(PauliPolynomial.from_string(p), state).amplitudes, want, atol=1e-13)
             poly = PauliPolynomial.from_strings(4, [(p, 0.5), (random_string(rng, 4), -1.5j)])
             want = dense_poly(poly) @ state.amplitudes
             assert np.allclose(apply_poly(poly, state).amplitudes, want, atol=1e-12)
@@ -163,7 +161,7 @@ class TestSupportKernel:
     def test_size_mismatch_rejected(self):
         state = StateVector.basis_state(2, 0)
         with pytest.raises(ValueError):
-            string_expectation(PauliString.single(3, 0, "x"), state)
+            poly_expectation(PauliPolynomial.from_string(PauliString.single(3, 0, "x")), state)
         with pytest.raises(ValueError):
             poly_expectation(PauliPolynomial.identity(3), state)
 
@@ -174,14 +172,14 @@ class TestGroundState:
         ham = lat2.hamiltonian()
         assert poly_expectation(ham, gs2) == pytest.approx(-8.0)
         for op in list(lat2.stars()) + list(lat2.plaquettes()) + list(lat2.z_loops()):
-            assert string_expectation(op, gs2) == pytest.approx(1.0)
+            assert poly_expectation(PauliPolynomial.from_string(op), gs2) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("sector", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_sectors_have_right_loop_signs(self, lat2, sector):
         state = ground_state(lat2, sector)
         l1, l2 = lat2.z_loops()
-        assert string_expectation(l1, state) == pytest.approx(sector[0])
-        assert string_expectation(l2, state) == pytest.approx(sector[1])
+        assert poly_expectation(PauliPolynomial.from_string(l1), state) == pytest.approx(sector[0])
+        assert poly_expectation(PauliPolynomial.from_string(l2), state) == pytest.approx(sector[1])
         assert poly_expectation(lat2.hamiltonian(), state) == pytest.approx(-8.0)
 
     def test_sectors_are_orthogonal(self, lat2):
