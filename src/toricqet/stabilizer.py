@@ -3,13 +3,31 @@
 A state on n qubits is fixed by n independent, pairwise-commuting Hermitian
 Pauli strings with signs +-1.  Expectations of arbitrary Pauli strings then
 follow from GF(2) linear algebra: a string has expectation +-1 when its
-symplectic vector lies in the row span of the generators (the sign comes
-from replaying the actual Pauli product of the matching generator subset),
-and expectation 0 otherwise.
+symplectic vector lies in the row span of the generators, and expectation 0
+otherwise.
 
-The generator matrix is Gaussian-eliminated once at construction; each
-query is a back-substitution against the cached pivot rows.  Groups are
-immutable after construction, so concurrent read-only queries are safe.
+Every vector is packed as one int, ``x_bits | z_bits << n``.  At
+construction the signed generators are Gaussian-eliminated into phased
+rows: each row is a group element i^e * X^x Z^z stored as (vector, e mod 4),
+multiplied with exact phase tracking, and back-substituted so that every
+row has exactly one pivot bit.  With rows that fully reduced, the reduction
+
+    R(v) = product of the rows at the pivot bits of v
+
+is a group element, and v is a member iff R(v) has vector v; the bare term
+X^x Z^z = i^{-e} R(v) then has expectation i^{-e}.  All group elements
+commute and square to +I, so R is linear: R(a ^ b) = R(a) R(b), exactly.
+A query costs one row product per pivot bit of its key.
+
+The protocol's expensive keys are X_A ^ l, with X_A the measured
+all-but-one X string (about n/2 pivot bits) and l a local string.  Each
+group therefore keeps one anchor, a (key, R(key)) pair: a key whose
+difference from the anchor has fewer pivot bits is reduced as
+R(anchor) R(key ^ anchor), so X_A is reduced once instead of once per term.
+The arithmetic is exact (GF(2), phases mod 4), so no value depends on the
+anchor.  Concurrent queries stay correct: the anchor is a single tuple,
+read once and replaced in one assignment, and is always a true (v, R(v))
+pair; the rows themselves never change after construction.
 """
 
 from __future__ import annotations
@@ -39,64 +57,64 @@ class StabilizerGroup:
         for g in generators:
             if not g.is_hermitian():
                 raise ValueError(f"generator {g.label()} is not Hermitian")
-        for i, g in enumerate(generators):
-            for h in generators[i + 1 :]:
-                if not g.commutes(h):
-                    raise ValueError("generators do not all commute")
+        if not _all_commute(generators):
+            raise ValueError("generators do not all commute")
 
         self.n_qubits = n
         self.generators = generators
         self.signs = signs
-        # pivot column -> (reduced row vector, combination of original rows),
-        # both packed as ints (bit j of a vector = column j, x part then z part).
-        self._pivots: dict[int, tuple[int, int]] = {}
+        # pivot column -> (row vector, phase exponent mod 4); each row has
+        # exactly one bit in _pivot_mask, its own.
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._pivot_mask = 0
         self._build_echelon()
-
-    def _vec(self, x_bits: int, z_bits: int) -> int:
-        return x_bits | (z_bits << self.n_qubits)
+        # (key, pivot-bit count of key, vector of R(key), phase of R(key))
+        self._anchor = (0, 0, 0, 0)
 
     def _build_echelon(self):
-        for i, g in enumerate(self.generators):
-            v = self._vec(g.x_bits, g.z_bits)
-            comb = 1 << i
+        n = self.n_qubits
+        rows = self._rows
+        for g, s in zip(self.generators, self.signs):
+            v = g.x_bits | (g.z_bits << n)
+            e = g.phase_exp + (2 if s < 0 else 0)
             while v:
                 col = (v & -v).bit_length() - 1
-                hit = self._pivots.get(col)
+                hit = rows.get(col)
                 if hit is None:
-                    self._pivots[col] = (v, comb)
+                    rows[col] = (v, e % 4)
+                    self._pivot_mask |= 1 << col
                     break
+                e += hit[1] + 2 * ((v >> n) & hit[0]).bit_count()
                 v ^= hit[0]
-                comb ^= hit[1]
             else:
                 raise ValueError("generators are linearly dependent over GF(2)")
+        # A row's other pivot bits all lie above its own pivot, so clearing
+        # them from the highest pivot down only ever uses finished rows.
+        for col in sorted(rows, reverse=True):
+            v, e = rows[col]
+            rest = (v & self._pivot_mask) ^ (1 << col)
+            if rest:
+                v, e = self._mul(v, e, self._reduce(rest))
+                rows[col] = (v, e)
 
-    def _solve(self, x_bits: int, z_bits: int) -> Optional[int]:
-        """Combination bitmask of generators multiplying to (x, z), or None."""
-        v = self._vec(x_bits, z_bits)
-        comb = 0
-        while v:
-            col = (v & -v).bit_length() - 1
-            hit = self._pivots.get(col)
-            if hit is None:
-                return None
-            v ^= hit[0]
-            comb ^= hit[1]
-        return comb
+    def _mul(self, v: int, e: int, other: tuple[int, int]) -> tuple[int, int]:
+        """(v, e) times other, as (vector, phase exponent mod 4)."""
+        w, f = other
+        return v ^ w, (e + f + 2 * ((v >> self.n_qubits) & w).bit_count()) % 4
 
-    def _replay_phase(self, comb: int) -> int:
-        """phase_exp of the product of the selected signed generators."""
-        xa = za = pha = 0
-        sel = comb
-        while sel:
-            i = (sel & -sel).bit_length() - 1
-            sel &= sel - 1
-            g = self.generators[i]
-            pha += g.phase_exp + 2 * (za & g.x_bits).bit_count()
-            if self.signs[i] < 0:
-                pha += 2
-            xa ^= g.x_bits
-            za ^= g.z_bits
-        return pha % 4
+    def _reduce(self, v: int) -> tuple[int, int]:
+        """R(v): the product of the rows at the pivot bits of v."""
+        n = self.n_qubits
+        rows = self._rows
+        acc = e = 0
+        bits = v & self._pivot_mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            w, f = rows[low.bit_length() - 1]
+            e += f + 2 * ((acc >> n) & w).bit_count()
+            acc ^= w
+        return acc, e % 4
 
     # -- queries -----------------------------------------------------------
 
@@ -104,11 +122,58 @@ class StabilizerGroup:
         """Exact ground-state expectation of a Pauli polynomial."""
         if poly.n_qubits != self.n_qubits:
             raise ValueError("polynomial and group act on different qubit counts")
+        n = self.n_qubits
+        mask = self._pivot_mask
         total = 0.0 + 0.0j
         for (x, z), coeff in poly.terms.items():
-            comb = self._solve(x, z)
-            if comb is None:
+            v = x | (z << n)
+            count = (v & mask).bit_count()
+            anchor = self._anchor
+            diff = v ^ anchor[0]
+            if (diff & mask).bit_count() < count:
+                w, e = self._mul(anchor[2], anchor[3], self._reduce(diff))
+            else:
+                w, e = self._reduce(v)
+                if count > anchor[1]:
+                    self._anchor = (v, count, w, e)
+            if w != v:
                 continue
-            # bare term = i^{-q} * (group element), so <bare> = i^{-q}.
-            total += coeff * phase_value(-self._replay_phase(comb))
+            # bare term = i^{-e} * (group element), so <bare> = i^{-e}.
+            total += coeff * phase_value(-e)
         return total
+
+
+def _all_commute(generators: Sequence[PauliString]) -> bool:
+    """True iff every pair of the strings commutes.
+
+    Bit i of col_x[q] / col_z[q] says whether string i has an X / Z part on
+    qubit q.  XOR-ing col_z over a string's X support and col_x over its Z
+    support gives, at bit j, the parity of its symplectic product with
+    string j.  Cost O(n * weight) big-int XORs instead of n^2/2 pair tests.
+    """
+    n = generators[0].n_qubits
+    col_x = [0] * n
+    col_z = [0] * n
+    for i, g in enumerate(generators):
+        bit = 1 << i
+        for q in _bits(g.x_bits):
+            col_x[q] |= bit
+        for q in _bits(g.z_bits):
+            col_z[q] |= bit
+    for g in generators:
+        parity = 0
+        for q in _bits(g.x_bits):
+            parity ^= col_z[q]
+        for q in _bits(g.z_bits):
+            parity ^= col_x[q]
+        if parity:
+            return False
+    return True
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1

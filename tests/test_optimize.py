@@ -196,8 +196,9 @@ class TestExactMinimum:
         resp = QuadraticResponse(system)
         assert resp.minimum(independent=False) == (0.0, IDLE)
 
-    def test_torus_minimum_is_exactly_zero(self):
-        lat = ToricLattice(8)
+    @pytest.mark.parametrize("L,bob_qubit", [(8, 0), (32, 2047)])
+    def test_torus_minimum_is_exactly_zero(self, L, bob_qubit):
+        lat = ToricLattice(L, bob_qubit)
         result = optimize_locc(lat, lat.full_region_scheme(), with_table=False)
         assert result.min_delta == 0.0
         assert result.params == LoccParams(0.0, (1.0, 0.0, 0.0))

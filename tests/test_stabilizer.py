@@ -1,11 +1,15 @@
 """Stabilizer-group expectations against small explicit states."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import dense_poly, dense_string, random_hermitian_string
 
+from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
-from toricqet.stabilizer import StabilizerGroup
+from toricqet.stabilizer import StabilizerGroup, _all_commute
 
 
 def expect(group: StabilizerGroup, p: PauliString) -> complex:
@@ -38,12 +42,57 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StabilizerGroup([xx, xx])
 
+    def test_dependent_toric_generators_rejected(self, lat2):
+        # All four stars multiply to the identity, so they cannot all be rows.
+        gens = list(lat2.stars()) + list(lat2.plaquettes()[:-2]) + list(lat2.z_loops())
+        with pytest.raises(ValueError, match="dependent"):
+            StabilizerGroup(gens)
+
     def test_bad_signs_rejected(self):
         z = PauliString.single(1, 0, "z")
         with pytest.raises(ValueError):
             StabilizerGroup([z], signs=(2,))
         with pytest.raises(ValueError):
             StabilizerGroup([z], signs=(1, 1))
+
+
+class TestCommutationCheck:
+    """The column-mask check against the plain pairwise definition."""
+
+    def test_far_apart_pair_rejected(self):
+        # Only the first and the last of six generators anticommute (X0 vs Z0).
+        gens = [PauliString.single(6, 0, "x")]
+        gens += [PauliString.single(6, q, "z") for q in range(1, 5)]
+        gens.append(PauliString.from_support(6, [0, 5], "z"))
+        assert not gens[0].commutes(gens[-1])
+        with pytest.raises(ValueError, match="do not all commute"):
+            StabilizerGroup(gens)
+
+    def test_pair_anticommuting_through_y_site_rejected(self):
+        # Y0 X1 against X0 X1: the Y site anticommutes, the X site does not.
+        y0x1 = PauliString.single(2, 0, "y").mul(PauliString.single(2, 1, "x"))
+        x0x1 = PauliString.from_support(2, [0, 1], "x")
+        assert not y0x1.commutes(x0x1)
+        with pytest.raises(ValueError, match="do not all commute"):
+            StabilizerGroup([y0x1, x0x1])
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_toric_ground_groups_accepted(self, L):
+        lat = ToricLattice(L)
+        for sector in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            g = lat.ground_group(sector)
+            assert g.signs[-2:] == sector
+
+    def test_matches_pairwise_definition(self):
+        rng = np.random.default_rng(67)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            gens = [random_hermitian_string(rng, n) for _ in range(int(rng.integers(1, 5)))]
+            want = all(a.commutes(b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+            assert _all_commute(gens) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestSingleQubit:
@@ -146,3 +195,129 @@ class TestToricGroups:
             expect(g, PauliString.single(4, 0, "z"))
         with pytest.raises(ValueError):
             g.poly_expectation(PauliPolynomial.identity(4))
+
+
+class TestLinearQuery:
+    """Keys X_A ^ l, with X_A the measured all-but-one X string and l small.
+
+    Members are built as explicit signed generator products: the stars of
+    one checkerboard colour multiply to X on every edge (on odd L, every
+    edge off the two wrap-around seams), and a random subset of generators
+    near the target edge makes the rest.  Each non-member is a member times
+    one Pauli near the target, which anticommutes with some generator.
+    The random subsets include the two Z loops, so the sector signs enter.
+    """
+
+    @staticmethod
+    def keys(lat: ToricLattice, sector, count: int, seed: int):
+        g = lat.ground_group(sector)
+        n, L = lat.n_qubits, lat.L
+        x_a = lat.full_region_scheme().operator()
+        # Star (r, c) is generator r * L + c; the dropped last star has r + c even.
+        base, sign = PauliString.identity(n), 1
+        for r in range(L):
+            for c in range(L):
+                if (r + c) % 2:
+                    base = base.mul(g.generators[r * L + c])
+                    sign *= g.signs[r * L + c]
+        # Stars and plaquettes within two steps of the target, and their edges.
+        ring = {e for edges in lat.star_edges + lat.plaquette_edges if lat.bob_qubit in edges for e in edges}
+        near = [i for i, gen in enumerate(g.generators[: 2 * L * L - 2])
+                if any((gen.x_bits | gen.z_bits) >> e & 1 for e in ring)]
+        near_edges = {e for i in near for e in range(n) if (g.generators[i].x_bits | g.generators[i].z_bits) >> e & 1}
+        near += [n - 2, n - 1]  # the Z loops, which carry the sector signs
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            p, s = base, sign
+            for i in near:
+                if rng.integers(2):
+                    p = p.mul(g.generators[i])
+                    s *= g.signs[i]
+            if rng.integers(2):
+                edge = int(rng.choice(sorted(near_edges)))
+                p = p.mul(PauliString.single(n, edge, "xyz"[int(rng.integers(3))]))
+                assert not all(p.commutes(gen) for gen in g.generators)
+                s = 0
+            else:
+                assert all(p.commutes(gen) for gen in g.generators)
+            assert ((p.x_bits ^ x_a.x_bits) | p.z_bits).bit_count() <= 4 * L + len(near_edges) + 1
+            out.append((p, s))
+        return g, out
+
+    CASES = [(3, 7, (1, -1)), (4, 31, (1, 1))]
+
+    @pytest.mark.parametrize("L,bob,sector", CASES)
+    def test_heavy_keys_match_generator_products(self, L, bob, sector):
+        lat = ToricLattice(L, bob)
+        g, keys = self.keys(lat, sector, 200, seed=71 + L)
+        assert {s == 0 for _, s in keys} == {True, False}
+        for p, s in keys:
+            assert expect(g, p) == s
+
+    @pytest.mark.parametrize("L,bob,sector", CASES)
+    def test_values_independent_of_query_history(self, L, bob, sector):
+        lat = ToricLattice(L, bob)
+        g, keys = self.keys(lat, sector, 200, seed=79 + L)
+        want = [expect(lat.ground_group(sector), p) for p, _ in keys]
+        # Warm a group on other heavy keys: X_A times dense random strings.
+        x_a = lat.full_region_scheme().operator()
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            expect(g, x_a.mul(random_hermitian_string(rng, lat.n_qubits)))
+        assert [expect(g, p) for p, _ in keys] == want
+        fresh = lat.ground_group(sector)
+        assert [expect(fresh, p) for p, _ in reversed(keys)] == want[::-1]
+
+    @pytest.mark.parametrize("L,bob,sector", CASES)
+    def test_polynomial_is_sum_of_one_term_queries(self, L, bob, sector):
+        lat = ToricLattice(L, bob)
+        g, keys = self.keys(lat, sector, 60, seed=89 + L)
+        n = lat.n_qubits
+        rng = np.random.default_rng(97)
+        near = sorted({e for edges in lat.star_edges + lat.plaquette_edges
+                       if bob in edges for e in edges})
+        local = [PauliString.from_support(n, map(int, rng.choice(near, size=2, replace=False)), "xyz"[k % 3])
+                 for k in range(30)]
+        local += list(lat.stars()[:4]) + list(lat.plaquettes()[:4])
+        strings = [p for p, _ in keys] + local
+        rng.shuffle(strings)
+        coeffs = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+        poly = PauliPolynomial.from_strings(n, zip(strings, coeffs))
+        total = g.poly_expectation(poly)
+        want = 0.0 + 0.0j
+        for key, c in poly.terms.items():
+            want += lat.ground_group(sector).poly_expectation(PauliPolynomial(n, {key: c}))
+        assert total == want
+        assert total != 0
+
+    def test_concurrent_queries_share_one_group(self):
+        # Threads race on the anchor; every value must still be exact.
+        lat = ToricLattice(4, 31)
+        g, keys = self.keys(lat, (1, 1), 120, seed=101)
+        x_a = lat.full_region_scheme().operator()
+        rng = np.random.default_rng(103)
+        others = [x_a.mul(random_hermitian_string(rng, lat.n_qubits)) for _ in range(40)]
+        errors = []
+
+        def worker(order):
+            for _ in range(5):
+                for k in order:
+                    p, s = keys[k]
+                    if expect(g, p) != s:
+                        errors.append(p.label())
+                expect(g, others[order[0] % len(others)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(list(rng.permutation(len(keys))),))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
