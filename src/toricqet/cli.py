@@ -21,12 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import build_chain, optimize_control, qet_run
+from .chain import build_chain, protocol_system
 from .lattice import ToricLattice
-from .optimize import GridSpec, optimize_locc
+from .optimize import GridSpec, optimize_system
 from .protocol import (
     LoccParams,
-    energy_after_locc,
+    ProtocolSystem,
+    direct_energy,
     make_backends,
     verify_cross_terms,
     verify_derivation_chain,
@@ -255,10 +256,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     draws = _sample_params(cfg)
     all_passed = True
     for backend in backends:
+        system = ProtocolSystem.from_toric(lat, scheme, backend)
         named = (
-            ("LEMMA1", verify_plaquette_collapse(lat, scheme, backend)),
-            ("LEMMA2", verify_local_expectations(lat, backend)),
-            ("LEMMA3", verify_cross_terms(lat, scheme, backend)),
+            ("LEMMA1", verify_plaquette_collapse(system, lat, scheme)),
+            ("LEMMA2", verify_local_expectations(system, lat)),
+            ("LEMMA3", verify_cross_terms(system, lat)),
         )
         for tag, report in named:
             worst = max((c.value for c in report.checks if not c.contrast), default=0.0)
@@ -268,7 +270,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                   f"{len(report.checks)} checks, max residual {worst:.3e}")
             for c in report.failures():
                 print(f"  failed: {c.label} (residual {c.value:.3e})")
-        chain_checks = [verify_derivation_chain(lat, scheme, p, backend) for p in draws]
+        chain_checks = [verify_derivation_chain(system, lat, p) for p in draws]
         worst = max(c.value for rep in chain_checks for c in rep.checks)
         ok = all(rep.passed for rep in chain_checks)
         all_passed &= ok
@@ -289,7 +291,8 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
     overall_min = math.inf
     best = None
     for backend in backends:
-        res = optimize_locc(lat, scheme, grid, backend=backend, independent=cfg.independent)
+        system = ProtocolSystem.from_toric(lat, scheme, backend)
+        res = optimize_system(system, grid, independent=cfg.independent)
         blocks.append((res.table, backend.name))
         deviation = float(np.abs(res.table[:, 7] - res.table[:, 8]).max())
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
@@ -298,13 +301,13 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
               f"theta=0 attains minimum: {res.zero_theta_attains}")
         if res.min_delta < overall_min:
             overall_min = res.min_delta
-            best = (backend, res)
+            best = (system, res)
     if cfg.out:
         write_sweep_csv(cfg.out, blocks)
         print(f"sweep table written to {cfg.out}")
     if cfg.json_out:
-        backend, res = best
-        report = energy_after_locc(scheme, res.params, lat, backend)
+        system, res = best
+        report = direct_energy(system, res.params)
         with open(cfg.json_out, "w") as fh:
             fh.write(report.to_json() + "\n")
         print(f"argmin report written to {cfg.json_out}")
@@ -317,10 +320,10 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
 
 def cmd_control(cfg: RunConfig) -> int:
     model = build_chain(cfg.sites, cfg.coupling, cfg.field, cfg.site_a, cfg.site_b)
-    res = optimize_control(model, cfg.grid(), axis=cfg.chain_axis,
-                           independent=cfg.independent, with_table=cfg.out is not None)
+    system = protocol_system(model, cfg.chain_axis)
+    res = optimize_system(system, cfg.grid(), independent=cfg.independent, with_table=cfg.out is not None)
     locc = res.per_outcome if res.per_outcome is not None else res.params
-    report = qet_run(model, locc, axis=cfg.chain_axis)
+    report = direct_energy(system, locc)
     if abs(report.delta - res.min_delta) > CONTROL_EPS:
         print(f"optimizer ({format_float(res.min_delta)}) and direct evaluation "
               f"({format_float(report.delta)}) disagree")

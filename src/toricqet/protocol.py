@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .lattice import MeasurementScheme, ToricLattice
 from .pauli import PauliPolynomial, PauliString
 from .reports import EnergyReport
+from .stabilizer import StabilizerGroup
 from . import statevector as sv
 
 OUTCOMES = (1, -1)
@@ -74,28 +75,21 @@ class StabilizerBackend:
     name = "stabilizer"
     exact = True
 
-    def __init__(self, lat: ToricLattice, sector: tuple[int, int] = (1, 1)):
-        self.group = lat.ground_group(sector)
+    def __init__(self, group: StabilizerGroup):
+        self.group = group
 
     def expect(self, poly: PauliPolynomial) -> complex:
         return self.group.poly_expectation(poly)
 
 
 class StatevectorBackend:
-    """Dense-oracle expectations; limited to small systems."""
+    """Dense-oracle expectations over any model's ground state; small systems only."""
 
     name = "statevector"
     exact = False
 
-    def __init__(self, lat: ToricLattice, sector: tuple[int, int] = (1, 1)):
-        self.state = sv.ground_state(lat, sector)
-
-    @classmethod
-    def from_state(cls, state: sv.StateVector) -> "StatevectorBackend":
-        """Backend over an already computed ground state (any model)."""
-        backend = cls.__new__(cls)
-        backend.state = state
-        return backend
+    def __init__(self, state: sv.StateVector):
+        self.state = state
 
     def expect(self, poly: PauliPolynomial) -> complex:
         return sv.poly_expectation(poly, self.state)
@@ -103,11 +97,11 @@ class StatevectorBackend:
 
 def make_backends(lat: ToricLattice, which: str, sector: tuple[int, int] = (1, 1)):
     if which == "stabilizer":
-        return [StabilizerBackend(lat, sector)]
+        return [StabilizerBackend(lat.ground_group(sector))]
     if which == "statevector":
-        return [StatevectorBackend(lat, sector)]
+        return [StatevectorBackend(sv.ground_state(lat, sector))]
     if which == "both":
-        return [StabilizerBackend(lat, sector), StatevectorBackend(lat, sector)]
+        return [StabilizerBackend(lat.ground_group(sector)), StatevectorBackend(sv.ground_state(lat, sector))]
     raise ValueError(f"unknown backend selection {which!r}")
 
 
@@ -182,7 +176,7 @@ class ProtocolSystem:
             hamiltonian=lat.hamiltonian(),
             ground_energy=lat.ground_energy(),
             target=lat.bob_qubit,
-            backend=backend or StabilizerBackend(lat),
+            backend=backend or StabilizerBackend(lat.ground_group()),
             m_ops=dict(zip(OUTCOMES, measurement_ops(scheme))),
             scheme=describe_scheme(scheme, lat),
             observables=observables,
@@ -242,7 +236,9 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
     )
 
 
-# -- toric entry points: build the system, call the core -----------------------
+# -- toric shorthands: build the system, call the core -------------------------
+# The CLI calls the core directly; these stay while the traced benchmark
+# (perfbench/spans.py) wraps them by name.
 
 # theta = 0 makes U_k the identity; used where only the measured stage is read.
 NO_ROTATION = LoccParams(0.0, (0.0, 0.0, 1.0))
@@ -313,20 +309,21 @@ def _zero_tol(backend) -> float:
     return 0.0 if backend.exact else MATCH_TOL
 
 
-def verify_plaquette_collapse(lat: ToricLattice, scheme: MeasurementScheme, backend=None) -> CheckReport:
+def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice, scheme: MeasurementScheme) -> CheckReport:
     """Sandwiching a plaquette between the Kraus projectors either kills it
     (odd shared support with the measured string) or passes it through
     (even shared support).  Checked as exact polynomial identities and as
-    backend expectations, for every plaquette and both outcomes."""
-    backend = backend or StabilizerBackend(lat)
+    backend expectations, for every plaquette and both outcomes.  `scheme`
+    is the measurement the system was built from; its edges predict the
+    case."""
+    backend = system.backend
     checks = []
     support = scheme.edges
-    kraus = measurement_ops(scheme)
     for idx, (edges, plaquette) in enumerate(zip(lat.plaquette_edges, lat.plaquettes())):
         overlap_odd = len(support & set(edges)) % 2 == 1
         b_poly = PauliPolynomial.from_string(plaquette)
         r, c = divmod(idx, lat.L)
-        for k, m in zip(OUTCOMES, kraus):
+        for k, m in system.m_ops.items():
             left = m.mul(b_poly)
             sandwich = left.mul(m)
             if overlap_odd:
@@ -345,10 +342,10 @@ def verify_plaquette_collapse(lat: ToricLattice, scheme: MeasurementScheme, back
     return CheckReport("plaquette collapse rule", tuple(checks))
 
 
-def verify_local_expectations(lat: ToricLattice, backend=None) -> CheckReport:
+def verify_local_expectations(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
     """Every single-qubit Pauli has zero ground-state expectation; the
     stabilizer terms themselves have expectation one (contrast row)."""
-    backend = backend or StabilizerBackend(lat)
+    backend = system.backend
     tol = _zero_tol(backend)
     checks = []
     worst = 0.0
@@ -372,42 +369,35 @@ def _adjacent_sum(n_qubits: int, ops: Sequence[PauliString], touching: Sequence[
     return acc
 
 
-def verify_cross_terms(lat: ToricLattice, scheme: MeasurementScheme, backend=None) -> CheckReport:
+def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
     """The mixed products sigma^i sigma^j (adjacent-star sum), sandwiched
     between the projectors, have zero ground-state expectation for the
     pairs that appear in the energy difference; the (y,y) pair is kept as
     a nonzero contrast so the zeros are not vacuous."""
-    backend = backend or StabilizerBackend(lat)
+    backend = system.backend
     tol = _zero_tol(backend)
     n = lat.n_qubits
     star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(lat.bob_qubit))
-    kraus = measurement_ops(scheme)
     checks = []
     for i, j in (("z", "x"), ("x", "y")):
         pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
-        for k, m in zip(OUTCOMES, kraus):
+        for k, m in system.m_ops.items():
             val = abs(backend.expect(m.mul(pair).mul(star_sum).mul(m)))
             checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", val <= tol, val))
     contrast = 0.0
     pair_yy = sigma_poly(n, lat.bob_qubit, "y").mul(sigma_poly(n, lat.bob_qubit, "y"))
-    for m in kraus:
+    for m in system.m_ops.values():
         contrast += backend.expect(m.mul(pair_yy).mul(star_sum).mul(m)).real
     checks.append(Check("contrast: (y,y) term is nonzero", abs(contrast) > 0.5, abs(contrast), contrast=True))
     return CheckReport("rotation cross terms vanish", tuple(checks))
 
 
-def target_commutator(lat: ToricLattice, axis: Sequence[float]) -> PauliPolynomial:
-    """[H, n.sigma] at the target edge, computed from the full Hamiltonian."""
-    ham = lat.hamiltonian()
-    return ham.commutator(axis_operator(lat.n_qubits, lat.bob_qubit, axis))
+def target_commutator(system: ProtocolSystem, axis: Sequence[float]) -> PauliPolynomial:
+    """[H, n.sigma] at the target qubit, computed from the full Hamiltonian."""
+    return system.hamiltonian.commutator(axis_operator(system.n_qubits, system.target, axis))
 
 
-def verify_derivation_chain(
-    lat: ToricLattice,
-    scheme: MeasurementScheme,
-    params: LoccParams,
-    backend=None,
-) -> CheckReport:
+def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: LoccParams) -> CheckReport:
     """Step-by-step checks of the algebra behind the closed form.
 
     (a) conjugating H by the rotation splits into the measured energy plus
@@ -419,21 +409,19 @@ def verify_derivation_chain(
         energy difference;
     (e) and equals the closed form 4 sin^2(theta) (ny^2 + nz^2).
     """
-    backend = backend or StabilizerBackend(lat)
+    backend = system.backend
     n = lat.n_qubits
     bob = lat.bob_qubit
-    ham = lat.hamiltonian()
+    ham = system.hamiltonian
     nx, ny, nz = params.axis
     s = math.sin(params.theta)
-    c = math.cos(params.theta)
     rot_axis = axis_operator(n, bob, params.axis)
-    comm = target_commutator(lat, params.axis)
-    kraus = measurement_ops(scheme)
+    comm = target_commutator(system, params.axis)
     checks = []
 
     # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
     worst = 0.0
-    for k, m in zip(OUTCOMES, kraus):
+    for k, m in system.m_ops.items():
         u = locc_unitary(params, k, bob, n)
         lhs = m.mul(u.adjoint()).mul(ham).mul(u).mul(m)
         rhs = m.mul(ham).mul(m) + m.mul(u.adjoint()).mul(comm).mul(m).scale(1j * k * s)
@@ -453,15 +441,15 @@ def verify_derivation_chain(
 
     # (c) sum_k i k (sin 2 theta / 2) <M [H, n.sigma] M> = 0.
     linear = 0.0 + 0.0j
-    for k, m in zip(OUTCOMES, kraus):
+    for k, m in system.m_ops.items():
         linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * backend.expect(m.mul(comm).mul(m))
     checks.append(Check("linear rotation term vanishes", abs(linear) <= MATCH_TOL, abs(linear)))
 
     # (d) sin^2(theta) sum_k <M n.sigma [H, n.sigma] M> equals the direct delta.
     quad = 0.0
-    for m in kraus:
+    for m in system.m_ops.values():
         quad += (s * s) * backend.expect(m.mul(rot_axis).mul(comm).mul(m)).real
-    report = energy_after_locc(scheme, params, lat, backend, include_profile=False)
+    report = direct_energy(system, params, include_profile=False)
     resid_d = abs(quad - report.delta)
     checks.append(Check("quadratic term equals direct delta", resid_d <= MATCH_TOL, resid_d))
 

@@ -19,6 +19,7 @@ from toricqet.optimize import optimize_locc
 from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.protocol import (
     LoccParams,
+    ProtocolSystem,
     StabilizerBackend,
     StatevectorBackend,
     delta_closed_form,
@@ -50,7 +51,7 @@ def random_params(rng) -> LoccParams:
     return LoccParams.from_direction(rng.uniform(0.0, 2.0 * math.pi), direction)
 
 
-def test_criterion_1_closed_form_both_backends(lat2):
+def test_criterion_1_closed_form_both_backends(lat2, gs2):
     """1000 random parameter points, direct evaluation on both backends,
     each within 1e-9 of 4 sin^2(theta) (ny^2 + nz^2); under 30 s."""
     rng = np.random.default_rng(2024)
@@ -58,7 +59,7 @@ def test_criterion_1_closed_form_both_backends(lat2):
     params = [random_params(rng) for _ in range(1000)]
     start = time.monotonic()
     worst = 0.0
-    for backend in (StabilizerBackend(lat2), StatevectorBackend(lat2)):
+    for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
         for p in params:
             rep = energy_after_locc(scheme, p, lat2, backend, include_profile=False)
             worst = max(worst, abs(rep.delta - delta_closed_form(p)))
@@ -97,10 +98,11 @@ def test_criterion_3_structural_checks_exhaustive():
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
+            system = ProtocolSystem.from_toric(lat, scheme, backend)
             reports = (
-                verify_plaquette_collapse(lat, scheme, backend),
-                verify_local_expectations(lat, backend),
-                verify_cross_terms(lat, scheme, backend),
+                verify_plaquette_collapse(system, lat, scheme),
+                verify_local_expectations(system, lat),
+                verify_cross_terms(system, lat),
             )
             for rep in reports:
                 all_pass &= rep.passed
@@ -121,13 +123,13 @@ def test_criterion_4_derivation_chain_random(lat2):
     within 1e-12, expectation equalities within 1e-10, 100 random draws."""
     rng = np.random.default_rng(4099)
     scheme = lat2.full_region_scheme()
-    backends = make_backends(lat2, "both")
+    systems = [ProtocolSystem.from_toric(lat2, scheme, b) for b in make_backends(lat2, "both")]
     worst_identity = 0.0
     worst_expect = 0.0
     all_pass = True
     for i in range(100):
-        backend = backends[i % len(backends)]
-        rep = verify_derivation_chain(lat2, scheme, random_params(rng), backend)
+        system = systems[i % len(systems)]
+        rep = verify_derivation_chain(system, lat2, random_params(rng))
         all_pass &= rep.passed
         for c in rep.checks:
             if "identity" in c.label or "splits" in c.label or "reduces" in c.label:
@@ -230,7 +232,7 @@ def test_criterion_9_invariances():
     scheme = lat.full_region_scheme()
     for p in params:
         deltas = [
-            energy_after_locc(scheme, p, lat, StabilizerBackend(lat, s), include_profile=False).delta
+            energy_after_locc(scheme, p, lat, StabilizerBackend(lat.ground_group(s)), include_profile=False).delta
             for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))
         ]
         spread = max(spread, max(deltas) - min(deltas))

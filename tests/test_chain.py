@@ -66,14 +66,14 @@ class TestBuildChain:
     def test_ferromagnetic_correlation(self, pair):
         # positive alignment, exactly 1/sqrt(5) for the two-site model
         zz = PauliPolynomial.from_string(PauliString.from_support(2, [0, 1], "z"))
-        assert StatevectorBackend.from_state(pair.ground).expect(zz).real == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
+        assert StatevectorBackend(pair.ground).expect(zz).real == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
 
     def test_zero_coupling_uncorrelated(self):
         model = build_chain(3, coupling=0.0)
         zz = PauliPolynomial.from_string(PauliString.from_support(3, [0, 1], "z"))
         z0 = PauliPolynomial.from_string(PauliString.single(3, 0, "z"))
         z1 = PauliPolynomial.from_string(PauliString.single(3, 1, "z"))
-        expect = StatevectorBackend.from_state(model.ground).expect
+        expect = StatevectorBackend(model.ground).expect
         connected = expect(zz).real - expect(z0).real * expect(z1).real
         assert connected == pytest.approx(0.0, abs=1e-12)
 
@@ -138,7 +138,7 @@ class TestQetRun:
     def test_p_minus_is_measured(self, pair):
         rep = qet_run(pair, LoccParams(0.0, (0.0, 0.0, 1.0)))
         m_minus = measurement_projectors(pair)[-1]
-        assert rep.p_minus == StatevectorBackend.from_state(pair.ground).expect(m_minus).real
+        assert rep.p_minus == StatevectorBackend(pair.ground).expect(m_minus).real
 
     def test_post_measurement_terms_keys(self, pair):
         terms = post_measurement_terms(pair)

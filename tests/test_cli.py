@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from toricqet.cli import CONFIG_KEYS, main
+from toricqet.lattice import ToricLattice
+from toricqet.protocol import ProtocolSystem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,7 +102,7 @@ class TestNogoScan:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("toricqet.cli.optimize_locc", exhausted)
+        monkeypatch.setattr("toricqet.cli.optimize_system", exhausted)
         code, _, err = run(capsys, "nogo-scan", "--L", "2", *FAST_GRID)
         assert code == 2
         assert err.startswith("capacity error") and len(err.splitlines()) == 1
@@ -145,6 +147,20 @@ class TestControl:
         assert "CONTROL" not in out
         assert flag[2:] in err and len(err.splitlines()) == 1
 
+    def test_large_coupling_reaches_verdict(self, capsys):
+        # eigensolver residual 2.6e-9: above 1e-9, inside the bound scaled by |J|
+        code, out, err = run(capsys, "control", "--sites", "6", "--coupling", "1e6", *FAST_GRID)
+        assert out.splitlines()[-1].startswith("CONTROL:")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--sites", "6", "--coupling", "1e308"], ["--field", "1e200"]])
+    def test_eigensolver_failure_is_usage_error(self, capsys, argv):
+        # residual nan / inf: the run stops with one line, not a traceback
+        code, out, err = run(capsys, "control", *argv, *FAST_GRID)
+        assert code == 2
+        assert "CONTROL" not in out
+        assert "eigensolver residual" in err and len(err.splitlines()) == 1
+
     def test_chain_too_long_is_usage_error(self, capsys):
         code, _, err = run(capsys, "control", "--sites", "7", *FAST_GRID)
         assert code == 2
@@ -183,6 +199,43 @@ class TestGoldenArtifacts:
         assert code == 0
         want = golden_digests()["control-sites2.csv"]
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
+
+    def test_verify_stdout(self, capsys):
+        # stabilizer engine only and no random draws: pure-Python arithmetic,
+        # so the bytes do not depend on the BLAS build
+        code, out, _ = run(capsys, "verify", "--L", "4", "--bob-qubit", "5", "--samples", "0")
+        assert code == 0
+        want = golden_digests()["verify-L4-bob5-samples0.txt"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBuildCounts:
+    """Each run builds one ProtocolSystem per backend, through whichever
+    factory, and the checks and reports read it instead of rebuilding."""
+
+    @pytest.mark.parametrize("argv,systems,hamiltonians", [
+        (["verify", "--L", "3", "--backend", "both"], 2, 2),
+        (["nogo-scan", "--L", "2", "--backend", "both", *FAST_GRID, "--json", "{tmp}/argmin.json"], 2, 2),
+        (["control", "--sites", "2", *FAST_GRID], 1, 0),
+    ])
+    def test_one_system_per_backend(self, capsys, monkeypatch, tmp_path, argv, systems, hamiltonians):
+        built = count_calls(monkeypatch, ProtocolSystem, "__init__")
+        hams = count_calls(monkeypatch, ToricLattice, "hamiltonian")
+        code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 0, err
+        assert (len(built), len(hams)) == (systems, hamiltonians)
 
 
 class TestDescribe:

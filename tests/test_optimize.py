@@ -68,10 +68,10 @@ class TestQuadraticResponse:
     def _response(self, lat, backend=None):
         return QuadraticResponse(ProtocolSystem.from_toric(lat, lat.full_region_scheme(), backend))
 
-    def test_matches_direct_sandwich(self, lat2):
+    def test_matches_direct_sandwich(self, lat2, gs2):
         rng = np.random.default_rng(139)
         scheme = lat2.full_region_scheme()
-        for backend in (StabilizerBackend(lat2), StatevectorBackend(lat2)):
+        for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
             resp = self._response(lat2, backend)
             for _ in range(15):
                 params = random_params(rng)
@@ -90,7 +90,7 @@ class TestQuadraticResponse:
     def test_independent_matches_manual_sum(self, lat2):
         rng = np.random.default_rng(151)
         scheme = lat2.full_region_scheme()
-        backend = StabilizerBackend(lat2)
+        backend = StabilizerBackend(lat2.ground_group())
         resp = self._response(lat2, backend)
         ham = lat2.hamiltonian()
         for _ in range(8):
@@ -179,12 +179,12 @@ class TestExactMinimum:
         assert [abs(a) for a in params.axis] == [0.0, 0.0, 1.0]
         assert all(math.copysign(1.0, a) == 1.0 for a in params.axis[:2])
 
-    def test_noise_band_only_on_float_backends(self, lat2):
+    def test_noise_band_only_on_float_backends(self, lat2, gs2):
         # On the exact torus engine a lambda_min inside the noise band is a
         # real negative minimum, so it must not be read as 0 (NOGO CONFIRMED).
         lam = -0.5 * NOISE_TOL
         half = np.diag([0.0, 1.0, 2.0, lam]) / 2.0
-        for backend, want in ((StabilizerBackend(lat2), lam), (StatevectorBackend(lat2), 0.0)):
+        for backend, want in ((StabilizerBackend(lat2.ground_group()), lam), (StatevectorBackend(gs2), 0.0)):
             resp = QuadraticResponse(ProtocolSystem.from_toric(lat2, lat2.full_region_scheme(), backend))
             resp.forms = {1: half, -1: half}
             assert resp.minimum(independent=False)[0] == want
@@ -226,10 +226,10 @@ class TestOptimize:
         assert set(result.per_outcome) == {1, -1}
         assert "k=+1" in result.argmin_description()
 
-    def test_statevector_backend_agrees(self, lat2):
+    def test_statevector_backend_agrees(self, lat2, gs2):
         scheme = lat2.full_region_scheme()
         r_stab = optimize_locc(lat2, scheme, self.GRID, with_table=False)
-        r_vec = optimize_locc(lat2, scheme, self.GRID, backend=StatevectorBackend(lat2), with_table=False)
+        r_vec = optimize_locc(lat2, scheme, self.GRID, backend=StatevectorBackend(gs2), with_table=False)
         assert r_vec.min_delta == pytest.approx(r_stab.min_delta, abs=1e-10)
         assert r_vec.e_a == pytest.approx(r_stab.e_a, abs=1e-10)
 

@@ -10,6 +10,7 @@ from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.protocol import (
     LoccParams,
+    ProtocolSystem,
     StabilizerBackend,
     StatevectorBackend,
     delta_closed_form,
@@ -66,14 +67,14 @@ class TestMeasurementOps:
     def test_outcomes_equally_likely(self, L):
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
-        p_plus, p_minus = outcome_probabilities(scheme, lat, StabilizerBackend(lat))
+        p_plus, p_minus = outcome_probabilities(scheme, lat, StabilizerBackend(lat.ground_group()))
         assert p_plus == pytest.approx(0.5)
         assert p_minus == pytest.approx(0.5)
 
-    def test_probabilities_match_statevector(self, lat2):
+    def test_probabilities_match_statevector(self, lat2, gs2):
         scheme = lat2.full_region_scheme()
-        want = outcome_probabilities(scheme, lat2, StatevectorBackend(lat2))
-        got = outcome_probabilities(scheme, lat2, StabilizerBackend(lat2))
+        want = outcome_probabilities(scheme, lat2, StatevectorBackend(gs2))
+        got = outcome_probabilities(scheme, lat2, StabilizerBackend(lat2.ground_group()))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -115,10 +116,10 @@ class TestEnergyInjected:
         assert p_plus == pytest.approx(0.5)
         assert p_minus == pytest.approx(0.5)
 
-    def test_matches_statevector(self, lat2):
+    def test_matches_statevector(self, lat2, gs2):
         scheme = lat2.full_region_scheme()
-        got = energy_injected(scheme, lat2, StabilizerBackend(lat2))
-        want = energy_injected(scheme, lat2, StatevectorBackend(lat2))
+        got = energy_injected(scheme, lat2, StabilizerBackend(lat2.ground_group()))
+        want = energy_injected(scheme, lat2, StatevectorBackend(gs2))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_commuting_string_injects_nothing(self):
@@ -166,11 +167,11 @@ class TestEnergyAfterLocc:
         rep = energy_after_locc(lat3.full_region_scheme(), params, lat3, include_profile=False)
         assert rep.delta == pytest.approx(1.0, abs=1e-12)
 
-    def test_backends_agree_on_random_params(self, lat2):
+    def test_backends_agree_on_random_params(self, lat2, gs2):
         rng = np.random.default_rng(97)
         scheme = lat2.full_region_scheme()
-        sb = StabilizerBackend(lat2)
-        vb = StatevectorBackend(lat2)
+        sb = StabilizerBackend(lat2.ground_group())
+        vb = StatevectorBackend(gs2)
         for _ in range(20):
             params = random_params(rng)
             r1 = energy_after_locc(scheme, params, lat2, sb, include_profile=False)
@@ -183,7 +184,7 @@ class TestEnergyAfterLocc:
         for L in (2, 3):
             lat = ToricLattice(L)
             scheme = lat.full_region_scheme()
-            backend = StabilizerBackend(lat)
+            backend = StabilizerBackend(lat.ground_group())
             for _ in range(30):
                 params = random_params(rng)
                 rep = energy_after_locc(scheme, params, lat, backend, include_profile=False)
@@ -219,15 +220,16 @@ class TestStructuralChecks:
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
-            report = verify_plaquette_collapse(lat, scheme, backend)
+            report = verify_plaquette_collapse(ProtocolSystem.from_toric(lat, scheme, backend), lat, scheme)
             assert report.passed, report.failures()
             assert len(report.checks) == 2 * 2 * L * L
 
     @pytest.mark.parametrize("L,which", [(2, "both"), (3, "stabilizer"), (4, "stabilizer")])
     def test_local_expectations(self, L, which):
         lat = ToricLattice(L)
+        scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
-            report = verify_local_expectations(lat, backend)
+            report = verify_local_expectations(ProtocolSystem.from_toric(lat, scheme, backend), lat)
             assert report.passed, report.failures()
 
     @pytest.mark.parametrize("L,which", [(2, "both"), (3, "stabilizer"), (4, "stabilizer")])
@@ -235,16 +237,17 @@ class TestStructuralChecks:
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
-            report = verify_cross_terms(lat, scheme, backend)
+            report = verify_cross_terms(ProtocolSystem.from_toric(lat, scheme, backend), lat)
             assert report.passed, report.failures()
             contrast = [c for c in report.checks if c.contrast]
             assert len(contrast) == 1 and contrast[0].value == pytest.approx(2.0)
 
     def test_commutator_reduction_exact(self, lat2):
         rng = np.random.default_rng(107)
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme())
         for _ in range(5):
             params = random_params(rng)
-            comm = target_commutator(lat2, params.axis)
+            comm = target_commutator(system, params.axis)
             # anticommutes cleanly: the commutator is anti-Hermitian
             assert comm.adjoint().isclose(comm.scale(-1.0), tol=1e-14)
 
@@ -252,8 +255,9 @@ class TestStructuralChecks:
         rng = np.random.default_rng(109)
         scheme = lat2.full_region_scheme()
         for backend in make_backends(lat2, "both"):
+            system = ProtocolSystem.from_toric(lat2, scheme, backend)
             for _ in range(5):
-                report = verify_derivation_chain(lat2, scheme, random_params(rng), backend)
+                report = verify_derivation_chain(system, lat2, random_params(rng))
                 assert report.passed, report.failures()
                 assert len(report.checks) == 5
 
@@ -262,7 +266,7 @@ class TestStructuralChecks:
         # report pass-through, not collapse; the checker distinguishes.
         edges = lat2.star_edges[3]  # star(1,1): edges 6,7,4,3, avoids 0
         scheme = lat2.scheme_from_edges(edges)
-        report = verify_plaquette_collapse(lat2, scheme)
+        report = verify_plaquette_collapse(ProtocolSystem.from_toric(lat2, scheme), lat2, scheme)
         assert report.passed
         assert all("passes through" in c.label or "expectation" in c.label for c in report.checks)
 
@@ -278,7 +282,7 @@ class TestInvariances:
             deltas = []
             for sector in self.SECTORS:
                 rep = energy_after_locc(
-                    scheme, params, lat2, StabilizerBackend(lat2, sector), include_profile=False
+                    scheme, params, lat2, StabilizerBackend(lat2.ground_group(sector)), include_profile=False
                 )
                 deltas.append(rep.delta)
             assert max(deltas) - min(deltas) < 1e-10
