@@ -169,8 +169,7 @@ def optimize_control(
     grid: Optional[GridSpec] = None,
     axis: str = "x",
     independent: bool = True,
-    with_table: bool = False,
 ) -> OptimizeResult:
     """Search for extraction on the chain; independent per-outcome
     parameters by default, the strongest single-round strategy."""
-    return optimize_system(protocol_system(model, axis), grid, independent=independent, with_table=with_table)
+    return optimize_system(protocol_system(model, axis), grid, independent=independent)

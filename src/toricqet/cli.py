@@ -39,6 +39,9 @@ from .statevector import CapacityError
 
 NOGO_EPS = 1e-10
 CONTROL_EPS = 1e-9
+# direct_energy forms E_B - E_A from raw energies of size |E_0|, so the control
+# tolerance is max(CONTROL_EPS, CONTROL_REL_EPS * |E_0|).
+CONTROL_REL_EPS = 2.0 ** -40
 
 
 @dataclass
@@ -293,8 +296,8 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         res = optimize_system(system, grid, independent=cfg.independent)
-        blocks.append((res.table, backend.name))
-        deviation = float(np.abs(res.table[:, 7] - res.table[:, 8]).max())
+        blocks.append((res, backend.name))
+        deviation = float(np.abs(res.deltas - res.closed_form).max())
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}; grid min = {format_float(res.grid_min)}; "
               f"max |delta - closed_form| = {deviation:.3e}; "
@@ -321,21 +324,25 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
 def cmd_control(cfg: RunConfig) -> int:
     model = build_chain(cfg.sites, cfg.coupling, cfg.field, cfg.site_a, cfg.site_b)
     system = protocol_system(model, cfg.chain_axis)
-    res = optimize_system(system, cfg.grid(), independent=cfg.independent, with_table=cfg.out is not None)
+    res = optimize_system(system, cfg.grid(), independent=cfg.independent)
     locc = res.per_outcome if res.per_outcome is not None else res.params
     report = direct_energy(system, locc)
-    if abs(report.delta - res.min_delta) > CONTROL_EPS:
+    tol = max(CONTROL_EPS, CONTROL_REL_EPS * abs(system.ground_energy))
+    if abs(report.delta - res.min_delta) > tol:
         print(f"optimizer ({format_float(res.min_delta)}) and direct evaluation "
               f"({format_float(report.delta)}) disagree")
         return 1
-    if cfg.out and res.table is not None:
-        write_sweep_csv(cfg.out, [(res.table, model.label())])
+    if -tol <= res.min_delta < -CONTROL_EPS:
+        raise ValueError(f"min delta = {format_float(res.min_delta)} lies within the rounding tolerance "
+                         f"{tol:.3g} of |E_0| = {abs(system.ground_energy):.3g}; extraction cannot be resolved")
+    if cfg.out:
+        write_sweep_csv(cfg.out, [(res, model.label())])
         print(f"sweep table written to {cfg.out}")
     if cfg.json_out:
         with open(cfg.json_out, "w") as fh:
             fh.write(report.to_json() + "\n")
         print(f"report written to {cfg.json_out}")
-    if res.min_delta < -CONTROL_EPS:
+    if res.min_delta < -tol:
         print(f"CONTROL: QET DETECTED, min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}")
         return 0

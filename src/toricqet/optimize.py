@@ -135,26 +135,28 @@ class QuadraticResponse:
 
     # -- vectorized sweep ----------------------------------------------------
 
-    def axis_coefficients(self, axes: np.ndarray):
-        a = np.einsum("mi,ij,mj->m", axes, self.w_shared, axes) - sum(self.h.values())
-        b = axes @ self.r_shared
-        return a, b
-
     def sweep(self, thetas: np.ndarray, axes: np.ndarray) -> np.ndarray:
         """Delta on the (theta x axis) grid, theta-major, shape (T, M)."""
         s = np.sin(thetas)
         c = np.cos(thetas)
-        a, b = self.axis_coefficients(axes)
+        a = np.einsum("mi,ij,mj->m", axes, self.w_shared, axes) - sum(self.h.values())
+        b = axes @ self.r_shared
         return np.outer(s * s, a) + np.outer(s * c, b)
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The exact minimum and witness, and the grid surface behind the sweep CSV:
+    deltas and the torus closed form (on every system) at (thetas[i], axes[j])."""
+
     min_delta: float
     params: LoccParams
     per_outcome: Optional[dict]
     grid_min: float
-    table: Optional[np.ndarray]
+    thetas: np.ndarray
+    axes: np.ndarray
+    deltas: np.ndarray
+    closed_form: np.ndarray
     p_plus: float
     e_a: float
     zero_theta_attains: bool
@@ -190,7 +192,6 @@ def optimize_system(
     system: ProtocolSystem,
     grid: Optional[GridSpec] = None,
     independent: bool = False,
-    with_table: bool = True,
 ) -> OptimizeResult:
     grid = grid or GridSpec()
     resp = QuadraticResponse(system)
@@ -203,34 +204,20 @@ def optimize_system(
     if not min_delta <= grid_min + GRID_CHECK_TOL * scale:
         raise AssertionError(f"exact minimum {min_delta!r} lies above the grid minimum {grid_min!r}")
 
-    table = _sweep_table(resp, thetas, axes, deltas) if with_table else None
+    closed_form = np.outer(4.0 * np.sin(thetas) ** 2, axes[:, 1] ** 2 + axes[:, 2] ** 2)
     return OptimizeResult(
         min_delta=min_delta,
         params=outcome_params(locc, 1),
         per_outcome=locc if independent else None,
         grid_min=grid_min,
-        table=table,
+        thetas=thetas,
+        axes=axes,
+        deltas=deltas,
+        closed_form=closed_form,
         p_plus=resp.p_plus,
         e_a=resp.e_a,
         zero_theta_attains=min_delta >= 0.0,
     )
-
-
-def _sweep_table(resp: QuadraticResponse, thetas: np.ndarray, axes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Rows (theta, nx, ny, nz, p_plus, E_A, E_B, delta, closed_form),
-    theta-major then axis order, matching the CSV contract."""
-    t_count, m_count = deltas.shape
-    rows = np.empty((t_count * m_count, 9), dtype=np.float64)
-    rows[:, 0] = np.repeat(thetas, m_count)
-    rows[:, 1:4] = np.tile(axes, (t_count, 1))
-    rows[:, 4] = resp.p_plus
-    rows[:, 5] = resp.e_a
-    flat = deltas.reshape(-1)
-    rows[:, 6] = resp.e_a + flat
-    rows[:, 7] = flat
-    s2 = np.repeat(np.sin(thetas) ** 2, m_count)
-    rows[:, 8] = 4.0 * s2 * (rows[:, 2] ** 2 + rows[:, 3] ** 2)
-    return rows
 
 
 def optimize_locc(
@@ -239,7 +226,6 @@ def optimize_locc(
     grid: Optional[GridSpec] = None,
     backend=None,
     independent: bool = False,
-    with_table: bool = True,
 ) -> OptimizeResult:
     system = ProtocolSystem.from_toric(lat, scheme, backend)
-    return optimize_system(system, grid, independent=independent, with_table=with_table)
+    return optimize_system(system, grid, independent=independent)

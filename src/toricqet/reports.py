@@ -1,8 +1,8 @@
 """Result records and their CSV/JSON serialization.
 
-The sweep CSV column order is part of the tool's contract and is golden-file
-tested; floats are printed with 17 significant digits so runs reproduce
-byte-for-byte.
+Only this module knows the sweep CSV column layout, part of the tool's
+contract and golden-file tested; floats are printed with 17 significant
+digits so runs reproduce byte-for-byte.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 SWEEP_COLUMNS = (
     "theta",
@@ -102,25 +102,25 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def sweep_csv_lines(rows: Sequence[Sequence[float]], backend: str):
-    """Yield CSV lines for (theta, nx, ny, nz, p_plus, E_A, E_B, delta,
-    closed_form) rows, appending the backend tag column."""
+def sweep_csv_lines(blocks: Iterable[tuple]):
+    """Yield the header, then one line per grid point of each (surface, backend
+    tag) block, theta-major; a surface is an ``optimize.OptimizeResult``.  Only
+    E_B, delta and closed_form are formatted per row, the rest once."""
     yield ",".join(SWEEP_COLUMNS)
-    for row in rows:
-        if len(row) != len(SWEEP_COLUMNS) - 1:
-            raise ValueError(f"sweep row has {len(row)} fields, expected {len(SWEEP_COLUMNS) - 1}")
-        yield ",".join([format_float(float(v)) for v in row] + [backend])
+    for surface, backend in blocks:
+        axes = [",".join(map(format_float, axis)) for axis in surface.axes.tolist()]
+        shared = f"{format_float(float(surface.p_plus))},{format_float(float(surface.e_a))}"
+        for theta, deltas, closed in zip(surface.thetas.tolist(), surface.deltas, surface.closed_form):
+            head = format_float(theta)
+            for axis, e, d, c in zip(axes, (surface.e_a + deltas).tolist(), deltas.tolist(), closed.tolist()):
+                yield f"{head},{axis},{shared},{format_float(e)},{format_float(d)},{format_float(c)},{backend}"
 
 
-def write_sweep_csv(path: str, blocks: Sequence[tuple[Sequence[Sequence[float]], str]]):
-    """Write (rows, backend tag) blocks as one table under a single header."""
+def write_sweep_csv(path: str, blocks: Iterable[tuple]):
+    """Write (surface, backend tag) blocks as one table under a single header."""
     try:
         with open(path, "w") as fh:
-            for i, (rows, backend) in enumerate(blocks):
-                lines = sweep_csv_lines(rows, backend)
-                if i > 0:
-                    next(lines)  # the header
-                for line in lines:
-                    fh.write(line + "\n")
+            for line in sweep_csv_lines(blocks):
+                fh.write(line + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep table to {path}: {exc}") from exc

@@ -88,6 +88,16 @@ class TestNogoScan:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_printed_deviation_matches_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--backend", "both", "--out", str(csv_path))
+        assert code == 0
+        rows = [ln.split(",") for ln in csv_path.read_text().splitlines()[1:]]
+        for tag in ("stabilizer", "statevector"):
+            worst = max(abs(float(r[7]) - float(r[8])) for r in rows if r[9] == tag)
+            line = next(ln for ln in out.splitlines() if ln.startswith(f"[{tag}]"))
+            assert f"max |delta - closed_form| = {worst:.3e};" in line
+
     def test_sector_choice_scans_clean(self, capsys):
         code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--sector", "-1", "-1", *FAST_GRID)
         assert code == 0
@@ -152,6 +162,23 @@ class TestControl:
         code, out, err = run(capsys, "control", "--sites", "6", "--coupling", "1e6", *FAST_GRID)
         assert out.splitlines()[-1].startswith("CONTROL:")
         assert err == ""
+
+    def test_rounding_gap_at_large_coupling_is_not_disagreement(self, capsys):
+        # optimizer -0.99999998 and direct -0.9999999702 differ by 1e-8, the
+        # rounding of energies of size 1e8, inside 2^-40 |E_0|
+        code, out, err = run(capsys, "control", "--coupling", "1e8", *FAST_GRID)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("CONTROL: QET DETECTED, min delta = -0.99999998")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--coupling", "1e200"], ["--sites", "3", "--field", "1e150"]])
+    def test_unresolvable_minimum_is_usage_error(self, capsys, argv):
+        # a minimum below -1e-9 but inside 2^-40 |E_0| is neither QET nor its absence
+        code, out, err = run(capsys, "control", *argv, *FAST_GRID)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "cannot be resolved" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [["--sites", "6", "--coupling", "1e308"], ["--field", "1e200"]])
     def test_eigensolver_failure_is_usage_error(self, capsys, argv):

@@ -27,6 +27,7 @@ from toricqet.protocol import (
     energy_after_locc,
     locc_unitary,
 )
+from toricqet.reports import write_sweep_csv
 from test_protocol import random_params
 
 
@@ -199,7 +200,7 @@ class TestExactMinimum:
     @pytest.mark.parametrize("L,bob_qubit", [(8, 0), (32, 2047)])
     def test_torus_minimum_is_exactly_zero(self, L, bob_qubit):
         lat = ToricLattice(L, bob_qubit)
-        result = optimize_locc(lat, lat.full_region_scheme(), with_table=False)
+        result = optimize_locc(lat, lat.full_region_scheme())
         assert result.min_delta == 0.0
         assert result.params == LoccParams(0.0, (1.0, 0.0, 0.0))
         assert result.zero_theta_attains
@@ -228,27 +229,32 @@ class TestOptimize:
 
     def test_statevector_backend_agrees(self, lat2, gs2):
         scheme = lat2.full_region_scheme()
-        r_stab = optimize_locc(lat2, scheme, self.GRID, with_table=False)
-        r_vec = optimize_locc(lat2, scheme, self.GRID, backend=StatevectorBackend(gs2), with_table=False)
+        r_stab = optimize_locc(lat2, scheme, self.GRID)
+        r_vec = optimize_locc(lat2, scheme, self.GRID, backend=StatevectorBackend(gs2))
         assert r_vec.min_delta == pytest.approx(r_stab.min_delta, abs=1e-10)
         assert r_vec.e_a == pytest.approx(r_stab.e_a, abs=1e-10)
 
-    def test_table_contract(self, lat2):
+    def test_table_contract(self, lat2, tmp_path):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID)
-        table = result.table
-        assert table.shape == (33 * (3 + 64), 9)
-        # theta-major ordering, axes tiled within each theta block
         n_axes = 3 + 64
-        assert np.all(table[:n_axes, 0] == table[0, 0])
-        assert np.allclose(np.linalg.norm(table[:, 1:4], axis=1), 1.0, atol=1e-12)
+        assert result.thetas.shape == (33,)
+        assert result.axes.shape == (n_axes, 3)
+        assert result.deltas.shape == result.closed_form.shape == (33, n_axes)
+        # theta-major: row i is theta i, column j is axis j
+        resp = QuadraticResponse(ProtocolSystem.from_toric(lat2, lat2.full_region_scheme()))
+        for i, j in [(0, 0), (5, 1), (17, 40), (32, 66)]:
+            params = LoccParams(float(result.thetas[i]), tuple(result.axes[j]))
+            assert result.deltas[i, j] == pytest.approx(resp.delta(params), abs=1e-12)
+        assert np.allclose(np.linalg.norm(result.axes, axis=1), 1.0, atol=1e-12)
         # the torus sweep sits exactly on the closed form
-        assert np.abs(table[:, 7] - table[:, 8]).max() < 1e-9
-        assert table[:, 7].min() >= -1e-10
-        assert np.allclose(table[:, 6] - table[:, 5], table[:, 7], atol=1e-12)
-
-    def test_with_table_false_omits_table(self, lat2):
-        result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID, with_table=False)
-        assert result.table is None
+        assert np.abs(result.deltas - result.closed_form).max() < 1e-9
+        assert result.deltas.min() >= -1e-10
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(str(path), [(result, "stabilizer")])
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(9))
+        assert rows.shape == (33 * n_axes, 9)
+        assert np.all(rows[:n_axes, 0] == rows[0, 0])
+        assert np.allclose(rows[:, 6] - rows[:, 5], rows[:, 7], atol=1e-12)
 
     def test_refinement_never_above_grid(self, lat2):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID)
