@@ -7,7 +7,8 @@ ground state actually supports it.  Open chain of N qubits,
     H = -J sum_i sigma^z_i sigma^z_{i+1} - h sum_i sigma^x_i,
 
 ground state from dense diagonalization.  Default protocol: sigma^x
-measurement on site_A, conditioned rotation on site_B, with independent
+measurement on site_A, conditioned rotation on site_B (by default site_A's
+right neighbour, or its left one at the chain's end), with independent
 per-outcome parameters (the most general single-step strategy).
 """
 
@@ -76,7 +77,7 @@ def build_chain(
     if not MIN_SITES <= n <= MAX_SITES:
         raise ValueError(f"chain size must be in [{MIN_SITES}, {MAX_SITES}], got {n}")
     if site_b is None:
-        site_b = n - 1
+        site_b = site_a + 1 if site_a + 1 < n else site_a - 1
     if not (0 <= site_a < n and 0 <= site_b < n):
         raise ValueError("sites out of range")
     if site_a == site_b:

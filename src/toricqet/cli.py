@@ -15,14 +15,12 @@ import argparse
 import json
 import math
 import sys
-import typing
-from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .chain import build_chain, protocol_system
-from .lattice import ToricLattice
+from .lattice import MeasurementScheme, ToricLattice
 from .optimize import GridSpec, optimize_system
 from .protocol import (
     LoccParams,
@@ -44,116 +42,6 @@ CONTROL_EPS = 1e-9
 CONTROL_REL_EPS = 2.0 ** -40
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs; the --config JSON file mirrors these fields."""
-
-    command: str = ""
-    L: int = 2
-    sector: tuple[int, int] = (1, 1)
-    bob_qubit: int = 0
-    edges: Optional[tuple[int, ...]] = None
-    backend: str = "stabilizer"
-    theta_count: int = 129
-    sphere_count: int = 512
-    independent: bool = False
-    seed: int = 0
-    samples: int = 5
-    out: Optional[str] = None
-    json_out: Optional[str] = None
-    sites: int = 2
-    coupling: float = 1.0
-    field: float = 1.0
-    site_a: int = 0
-    site_b: Optional[int] = None
-    chain_axis: str = "x"
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        for f in fields(cls):
-            if hasattr(ns, f.name):
-                value = getattr(ns, f.name)
-                if value is not None or _FIELD_TYPES[f.name][0]:
-                    setattr(cfg, f.name, value)
-        cfg.sector = tuple(cfg.sector)
-        if cfg.edges is not None:
-            cfg.edges = tuple(cfg.edges)
-        return cfg
-
-    def lattice(self) -> ToricLattice:
-        return ToricLattice(self.L, bob_qubit=self.bob_qubit)
-
-    def scheme(self, lat: ToricLattice):
-        if self.edges is None:
-            return lat.full_region_scheme()
-        return lat.scheme_from_edges(self.edges)
-
-    def grid(self) -> GridSpec:
-        return GridSpec(theta_count=self.theta_count, sphere_count=self.sphere_count)
-
-
-def _split_optional(hint) -> tuple[bool, type]:
-    """(nullable, value type) of a RunConfig annotation."""
-    if typing.get_origin(hint) is typing.Union:
-        members = typing.get_args(hint)
-        return type(None) in members, next(m for m in members if m is not type(None))
-    return False, hint
-
-
-_FIELD_TYPES = {name: _split_optional(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
-CONFIG_KEYS = set(_FIELD_TYPES) - {"command"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON check and its description, per RunConfig value type.
-_VALUE_CHECKS = {
-    int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    bool: (lambda v: isinstance(v, bool), "a boolean"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of integers"),
-}
-
-
-def _check_config_value(key: str, value):
-    nullable, kind = _FIELD_TYPES[key]
-    if value is None:
-        if nullable:
-            return
-        raise ValueError(f"config key {key!r} cannot be null")
-    accepts, described = _VALUE_CHECKS[typing.get_origin(kind) or kind]
-    if not accepts(value):
-        raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
-
-
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-    for key, value in data.items():
-        _check_config_value(key, value)
-    return data
-
-
-def _scan_config_path(argv: Sequence[str]) -> Optional[str]:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 # -- parser --------------------------------------------------------------------
 
 
@@ -166,12 +54,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         description="Exact check of measurement-feedback energy extraction on the toric code.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
-
-    def add_command(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        subparsers.append(p)
-        return p
 
     def lattice_flags(p):
         p.add_argument("--L", type=int, default=2, help="lattice size (2L^2 qubits)")
@@ -181,13 +63,12 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                        help="target edge index for the conditioned rotation")
         p.add_argument("--edges", type=int, nargs="+", default=None,
                        help="explicit measurement support (default: all of region A)")
-        p.add_argument("--config", default=None, help="JSON file with RunConfig defaults")
 
     def grid_flags(p):
-        p.add_argument("--theta-count", type=int, default=129, dest="theta_count")
-        p.add_argument("--sphere-count", type=int, default=512, dest="sphere_count")
+        p.add_argument("--theta-count", type=int, default=GridSpec.theta_count, dest="theta_count")
+        p.add_argument("--sphere-count", type=int, default=GridSpec.sphere_count, dest="sphere_count")
 
-    p_verify = add_command("verify", help="run the structural checks")
+    p_verify = sub.add_parser("verify", help="run the structural checks")
     lattice_flags(p_verify)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled parameter draws")
     p_verify.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
@@ -195,7 +76,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=5,
                           help="random parameter draws for the derivation checks")
 
-    p_scan = add_command("nogo-scan", help="sweep rotation parameters for extraction")
+    p_scan = sub.add_parser("nogo-scan", help="sweep rotation parameters for extraction")
     lattice_flags(p_scan)
     grid_flags(p_scan)
     p_scan.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
@@ -206,12 +87,13 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_scan.add_argument("--json", dest="json_out", default=None,
                         help="write the argmin report JSON here")
 
-    p_ctl = add_command("control", help="positive control on a small spin chain")
+    p_ctl = sub.add_parser("control", help="positive control on a small spin chain")
     p_ctl.add_argument("--sites", type=int, default=2)
     p_ctl.add_argument("--coupling", type=float, default=1.0)
     p_ctl.add_argument("--field", type=float, default=1.0)
     p_ctl.add_argument("--site-a", type=int, default=0, dest="site_a")
-    p_ctl.add_argument("--site-b", type=int, default=None, dest="site_b")
+    p_ctl.add_argument("--site-b", type=int, default=None, dest="site_b",
+                       help="rotated site (default: the measured site's neighbour)")
     p_ctl.add_argument("--axis", choices=("x", "y", "z"), default="x", dest="chain_axis",
                        help="measurement axis on site A")
     grid_flags(p_ctl)
@@ -219,32 +101,93 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                        help="restrict to one (theta, axis) with the outcome sign flip")
     p_ctl.add_argument("--out", default=None, help="write the shared-ansatz sweep CSV here")
     p_ctl.add_argument("--json", dest="json_out", default=None)
-    p_ctl.add_argument("--config", default=None)
 
-    p_desc = add_command("describe", help="emit lattice geometry as JSON")
+    p_desc = sub.add_parser("describe", help="emit lattice geometry as JSON")
     p_desc.add_argument("--L", type=int, default=2)
     p_desc.add_argument("--bob-qubit", type=int, default=0, dest="bob_qubit")
     p_desc.add_argument("--out", default=None)
-    p_desc.add_argument("--config", default=None)
 
-    if defaults:
-        for p in subparsers:
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None,
+                       help="JSON file of defaults, one key per option (e.g. theta_count)")
+        if defaults:
             p.set_defaults(**defaults)
     return parser
+
+
+def _run_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Every subcommand option by dest, --help and --config left out."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for p in sub.choices.values() for a in p._actions
+            if a.dest not in ("help", "config")}
+
+
+# -- config file -----------------------------------------------------------------
+# A config key is an option's dest; its JSON type follows the option's declaration.
+
+_CONFIG_OPTIONS = _run_options(build_parser())
+CONFIG_KEYS = set(_CONFIG_OPTIONS)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_value(action: argparse.Action, value):
+    key = action.dest
+    if value is None:
+        if action.default is None:
+            return
+        raise ValueError(f"config key {key!r} cannot be null")
+    if action.nargs == 0:
+        accepted, described = isinstance(value, bool), "a boolean"
+    elif action.nargs is not None:
+        accepted, described = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    elif action.type is int:
+        accepted, described = _is_int(value), "an integer"
+    elif action.type is float:
+        accepted, described = _is_int(value) or isinstance(value, float), "a number"
+    else:
+        accepted, described = isinstance(value, str), "a string"
+    if not accepted:
+        raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
+
+
+def _load_config(path: str) -> dict:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(data) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
+    for key, value in data.items():
+        _check_config_value(_CONFIG_OPTIONS[key], value)
+    return data
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def _sample_params(cfg: RunConfig) -> list[LoccParams]:
-    if cfg.samples < 0:
-        raise ValueError(f"samples must be non-negative, got {cfg.samples}")
-    rng = np.random.default_rng(cfg.seed)
+def _toric(args: argparse.Namespace) -> tuple[ToricLattice, MeasurementScheme]:
+    lat = ToricLattice(args.L, bob_qubit=args.bob_qubit)
+    scheme = lat.full_region_scheme() if args.edges is None else lat.scheme_from_edges(args.edges)
+    return lat, scheme
+
+
+def _grid(args: argparse.Namespace) -> GridSpec:
+    return GridSpec(theta_count=args.theta_count, sphere_count=args.sphere_count)
+
+
+def _sample_params(args: argparse.Namespace) -> list[LoccParams]:
+    if args.samples < 0:
+        raise ValueError(f"samples must be non-negative, got {args.samples}")
+    rng = np.random.default_rng(args.seed)
     draws = [
         LoccParams(math.pi / 2, (0.0, 1.0, 0.0)),
         LoccParams.from_direction(0.3, (1.0, 1.0, 1.0)),
     ]
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         direction = rng.standard_normal(3)
         while np.linalg.norm(direction) < 1e-6:
             direction = rng.standard_normal(3)
@@ -252,11 +195,10 @@ def _sample_params(cfg: RunConfig) -> list[LoccParams]:
     return draws
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    lat = cfg.lattice()
-    scheme = cfg.scheme(lat)
-    backends = make_backends(lat, cfg.backend, cfg.sector)
-    draws = _sample_params(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    lat, scheme = _toric(args)
+    backends = make_backends(lat, args.backend, args.sector)
+    draws = _sample_params(args)
     all_passed = True
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
@@ -285,17 +227,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_nogo_scan(cfg: RunConfig) -> int:
-    lat = cfg.lattice()
-    scheme = cfg.scheme(lat)
-    backends = make_backends(lat, cfg.backend, cfg.sector)
-    grid = cfg.grid()
+def cmd_nogo_scan(args: argparse.Namespace) -> int:
+    lat, scheme = _toric(args)
+    backends = make_backends(lat, args.backend, args.sector)
+    grid = _grid(args)
     blocks = []
     overall_min = math.inf
     best = None
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
-        res = optimize_system(system, grid, independent=cfg.independent)
+        res = optimize_system(system, grid, independent=args.independent)
         blocks.append((res, backend.name))
         deviation = float(np.abs(res.deltas - res.closed_form).max())
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
@@ -305,15 +246,15 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
         if res.min_delta < overall_min:
             overall_min = res.min_delta
             best = (system, res)
-    if cfg.out:
-        write_sweep_csv(cfg.out, blocks)
-        print(f"sweep table written to {cfg.out}")
-    if cfg.json_out:
+    if args.out:
+        write_sweep_csv(args.out, blocks)
+        print(f"sweep table written to {args.out}")
+    if args.json_out:
         system, res = best
         report = direct_energy(system, res.params)
-        with open(cfg.json_out, "w") as fh:
+        with open(args.json_out, "w") as fh:
             fh.write(report.to_json() + "\n")
-        print(f"argmin report written to {cfg.json_out}")
+        print(f"argmin report written to {args.json_out}")
     if overall_min < -NOGO_EPS:
         print(f"NOGO REFUTED: extraction point found, min delta = {format_float(overall_min)}")
         return 1
@@ -321,10 +262,10 @@ def cmd_nogo_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_control(cfg: RunConfig) -> int:
-    model = build_chain(cfg.sites, cfg.coupling, cfg.field, cfg.site_a, cfg.site_b)
-    system = protocol_system(model, cfg.chain_axis)
-    res = optimize_system(system, cfg.grid(), independent=cfg.independent)
+def cmd_control(args: argparse.Namespace) -> int:
+    model = build_chain(args.sites, args.coupling, args.field, args.site_a, args.site_b)
+    system = protocol_system(model, args.chain_axis)
+    res = optimize_system(system, _grid(args), independent=args.independent)
     locc = res.per_outcome if res.per_outcome is not None else res.params
     report = direct_energy(system, locc)
     tol = max(CONTROL_EPS, CONTROL_REL_EPS * abs(system.ground_energy))
@@ -335,13 +276,13 @@ def cmd_control(cfg: RunConfig) -> int:
     if -tol <= res.min_delta < -CONTROL_EPS:
         raise ValueError(f"min delta = {format_float(res.min_delta)} lies within the rounding tolerance "
                          f"{tol:.3g} of |E_0| = {abs(system.ground_energy):.3g}; extraction cannot be resolved")
-    if cfg.out:
-        write_sweep_csv(cfg.out, [(res, model.label())])
-        print(f"sweep table written to {cfg.out}")
-    if cfg.json_out:
-        with open(cfg.json_out, "w") as fh:
+    if args.out:
+        write_sweep_csv(args.out, [(res, model.label())])
+        print(f"sweep table written to {args.out}")
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
             fh.write(report.to_json() + "\n")
-        print(f"report written to {cfg.json_out}")
+        print(f"report written to {args.json_out}")
     if res.min_delta < -tol:
         print(f"CONTROL: QET DETECTED, min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}")
@@ -350,11 +291,11 @@ def cmd_control(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_describe(cfg: RunConfig) -> int:
-    doc = cfg.lattice().describe()
+def cmd_describe(args: argparse.Namespace) -> int:
+    doc = ToricLattice(args.L, bob_qubit=args.bob_qubit).describe()
     text = json.dumps(doc, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -370,15 +311,12 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _scan_config_path(argv)
-        defaults = _load_config(config_path) if config_path else None
-        parser = build_parser(defaults)
-        ns = parser.parse_args(argv)
-        cfg = RunConfig.from_namespace(ns)
-        cfg.command = ns.command
-        return COMMANDS[ns.command](cfg)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            # explicit flags still beat the file's values on the second parse
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        return COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,9 @@ Because the conditioned unitary is linear in (cos theta, sin theta), the
 final energy is an exact quadratic form in that pair.  For each
 outcome k the response precomputes
 
-    h_k      = <M_k H M_k>
-    C_k[i]   = <M_k [H, sigma^i] M_k>          (i = x, y, z)
-    W_k[i,j] = <M_k sigma^i H sigma^j M_k>
+    h_k      = <G_k>,  G_k = M_k H M_k
+    C_k[i]   = <M_k [H, sigma^i] M_k> = <[G_k, sigma^i]>     (i = x, y, z)
+    W_k[i,j] = <M_k sigma^i H sigma^j M_k> = <sigma^i G_k sigma^j>
 
 after which, with the unit 4-vector w = (cos theta, sin theta n),
 
@@ -85,22 +85,19 @@ class QuadraticResponse:
         n = system.n_qubits
         expect = system.backend.expect
         sigmas = [sigma_poly(n, system.target, a) for a in AXIS_NAMES]
-        commutators = [ham.commutator(s) for s in sigmas]
         self.h: dict[int, float] = {}
         self.c: dict[int, np.ndarray] = {}
         self.w: dict[int, np.ndarray] = {}
         for k in OUTCOMES:
+            # The sigmas act on the target, which no measured support holds,
+            # so they commute with M_k and every tensor reads G_k = M_k H M_k.
             m = system.m_ops[k]
-            self.h[k] = expect(m.mul(ham).mul(m)).real
-            self.c[k] = np.array(
-                [expect(m.mul(comm).mul(m)) for comm in commutators], dtype=complex
+            g = m.mul(ham).mul(m)
+            self.h[k] = expect(g).real
+            self.c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
+            self.w[k] = np.array(
+                [[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex
             )
-            w = np.empty((3, 3), dtype=complex)
-            for i in range(3):
-                left = m.mul(sigmas[i]).mul(ham)
-                for j in range(3):
-                    w[i, j] = expect(left.mul(sigmas[j]).mul(m))
-            self.w[k] = w
         self.p_plus = expect(system.m_ops[1]).real
         self.e_a = sum(self.h.values()) - system.ground_energy
         # Shared-ansatz aggregates: quadratic form and linear coefficient.

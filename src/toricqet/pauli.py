@@ -27,8 +27,6 @@ from typing import Iterable, Mapping
 # power of i, so the threshold cleanly separates zero from nonzero.
 PRUNE_TOL = 1e-12
 
-_AXES = ("x", "y", "z")
-
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 

@@ -12,12 +12,13 @@ from toricqet.chain import (
     measurement_projectors,
     optimize_control,
     post_measurement_terms,
+    protocol_system,
     qet_run,
     term_energy_changes,
 )
-from toricqet.optimize import GridSpec
+from toricqet.optimize import GridSpec, QuadraticResponse
 from toricqet.pauli import PauliPolynomial, PauliString
-from toricqet.protocol import LoccParams, StatevectorBackend
+from toricqet.protocol import OUTCOMES, LoccParams, StatevectorBackend
 from toricqet import statevector as sv
 
 # Established with an independent dense-eigensolver sweep; equals 2/sqrt(5) - 1
@@ -48,6 +49,10 @@ class TestBuildChain:
             build_chain(3, site_a=3)
         with pytest.raises(ValueError):
             build_chain(3, site_b=-1)
+
+    @pytest.mark.parametrize("n,site_a,site_b", [(2, 0, 1), (2, 1, 0), (3, 0, 1), (3, 1, 2), (6, 5, 4)])
+    def test_default_rotated_site_is_a_neighbour(self, n, site_a, site_b):
+        assert build_chain(n, site_a=site_a).site_b == site_b
 
     def test_two_site_ground_energy(self, pair):
         assert pair.ground_energy == pytest.approx(-math.sqrt(5.0), abs=1e-12)
@@ -180,7 +185,8 @@ class TestOptimizeControl:
         assert result.min_delta == pytest.approx(0.0, abs=1e-9)
 
     def test_larger_chain_still_extracts(self):
-        # rotated site next to the measured one; one round reaches no further
+        # rotated site next to the measured one, at the chain's end, where
+        # sigma^x measurement still extracts (see TestSigmaXSelectionRule)
         model = build_chain(3, site_b=1)
         result = optimize_control(model, GRID)
         assert result.min_delta < -1e-3
@@ -194,3 +200,50 @@ class TestOptimizeControl:
     def test_golden_stable_across_grids(self, pair):
         coarse = optimize_control(pair, GridSpec(theta_count=17, sphere_count=32))
         assert coarse.min_delta == pytest.approx(GOLDEN_MIN_DELTA, abs=1e-9)
+
+
+def response(n, site_a, site_b, axis):
+    return QuadraticResponse(protocol_system(build_chain(n, site_a=site_a, site_b=site_b), axis))
+
+
+class TestSigmaXSelectionRule:
+    """The paper's claim inside the positive control: the chain's ground
+    state is correlated, yet measuring sigma^x on it allows one-round
+    extraction only at the end pairs 0->1 and N-1->N-2.
+
+    Proven: the linear response r_k = k Re(i C_k) is 0 for every (A, B).
+    C_k[x] and C_k[z] vanish because H, sigma^x, sigma^z, M_k and the
+    ground state are real, so M_k [H, sigma] M_k is real antisymmetric and
+    its expectation in a real state is 0.  C_k[y] vanishes because
+    prod sigma^x commutes with H and with M_k, [H, sigma^y_B] is odd under
+    it, and the ground state is nondegenerate for h != 0.
+
+    Observed, not proven: with no linear term, min delta is exactly 0.0 at
+    every pair but the two end pairs.
+    """
+
+    END_MINIMUM = {3: -0.0863, 6: -0.0698}
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_sigma_x_extracts_only_at_the_ends(self, n):
+        ends = {(0, 1), (n - 1, n - 2)}
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                resp = response(n, a, b, "x")
+                # forms[k][0, 1:] = r_k / 2
+                assert max(np.abs(resp.forms[k][0, 1:]).max() for k in OUTCOMES) <= 1e-12, (a, b)
+                min_delta, _ = resp.minimum(independent=True)
+                if (a, b) in ends:
+                    assert min_delta == pytest.approx(self.END_MINIMUM[n], abs=1e-4), (a, b)
+                else:
+                    assert min_delta == 0.0, (a, b)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_other_axes_extract_at_every_adjacent_pair(self, n, axis):
+        for a in range(n - 1):
+            for pair in ((a, a + 1), (a + 1, a)):
+                min_delta, _ = response(n, *pair, axis).minimum(independent=True)
+                assert min_delta < -1e-3, pair

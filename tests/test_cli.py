@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from toricqet.cli import CONFIG_KEYS, main
+from toricqet import cli
+from toricqet.cli import CONFIG_KEYS, entry, main
 from toricqet.lattice import ToricLattice
 from toricqet.protocol import ProtocolSystem
 
@@ -136,9 +137,21 @@ class TestControl:
         assert "CONTROL: NO QET" in out
 
     def test_noise_minimum_prints_zero(self, capsys):
-        code, out, _ = run(capsys, "control", "--sites", "4", "--shared", "--axis", "x", *FAST_GRID)
+        code, out, _ = run(capsys, "control", "--sites", "4", "--site-b", "3", "--shared", "--axis", "x",
+                           *FAST_GRID)
         assert code == 1
         assert out.splitlines()[-1] == "CONTROL: NO QET, min delta = 0"
+
+    @pytest.mark.parametrize("argv,minimum", [
+        (["--sites", "3"], "-0.08626792"),
+        (["--sites", "6"], "-0.06977756"),
+        (["--sites", "2", "--site-a", "1"], "-0.10557280"),
+        (["--sites", "6", "--site-a", "5"], "-0.06977756"),
+    ])
+    def test_default_rotated_site_neighbours_measured_one(self, capsys, argv, minimum):
+        code, out, err = run(capsys, "control", *argv, *FAST_GRID)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith(f"CONTROL: QET DETECTED, min delta = {minimum}")
 
     def test_witness_axes_carry_no_negative_zero(self, capsys, tmp_path):
         json_path = tmp_path / "control.json"
@@ -159,7 +172,8 @@ class TestControl:
 
     def test_large_coupling_reaches_verdict(self, capsys):
         # eigensolver residual 2.6e-9: above 1e-9, inside the bound scaled by |J|
-        code, out, err = run(capsys, "control", "--sites", "6", "--coupling", "1e6", *FAST_GRID)
+        code, out, err = run(capsys, "control", "--sites", "6", "--site-b", "5", "--coupling", "1e6",
+                             *FAST_GRID)
         assert out.splitlines()[-1].startswith("CONTROL:")
         assert err == ""
 
@@ -171,7 +185,9 @@ class TestControl:
         assert out.splitlines()[-1].startswith("CONTROL: QET DETECTED, min delta = -0.99999998")
         assert err == ""
 
-    @pytest.mark.parametrize("argv", [["--coupling", "1e200"], ["--sites", "3", "--field", "1e150"]])
+    @pytest.mark.parametrize("argv", [
+        ["--coupling", "1e200"], ["--sites", "3", "--site-b", "2", "--field", "1e150"],
+    ])
     def test_unresolvable_minimum_is_usage_error(self, capsys, argv):
         # a minimum below -1e-9 but inside 2^-40 |E_0| is neither QET nor its absence
         code, out, err = run(capsys, "control", *argv, *FAST_GRID)
@@ -330,6 +346,42 @@ class TestConfigFile:
             assert code == 2
             assert repr(key) in err
 
+    # one value of each key's declared type; coupling takes an integer as a number
+    ACCEPTED = {
+        "L": 3, "sector": [1, -1], "bob_qubit": 2, "edges": [1, 2], "backend": "both",
+        "theta_count": 9, "sphere_count": 8, "independent": True, "seed": 4, "samples": 0,
+        "out": "geom.json", "json_out": "report.json", "sites": 3, "coupling": 2,
+        "field": 0.5, "site_a": 1, "site_b": 0, "chain_axis": "y",
+    }
+
+    def parsed(self, capsys, monkeypatch, tmp_path, data):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "describe", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        code, _, err = run(capsys, "describe", "--config", str(cfg))
+        assert code == 0, err
+        return seen[0]
+
+    def test_accepted_values_cover_every_key(self):
+        assert set(self.ACCEPTED) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_accepts_its_type(self, capsys, monkeypatch, tmp_path, key):
+        args = self.parsed(capsys, monkeypatch, tmp_path, {key: self.ACCEPTED[key]})
+        assert getattr(args, key) == self.ACCEPTED[key]
+
+    @pytest.mark.parametrize("key", ["edges", "out", "json_out", "site_b"])
+    def test_null_accepted_where_default_is_none(self, capsys, monkeypatch, tmp_path, key):
+        args = self.parsed(capsys, monkeypatch, tmp_path, {key: None})
+        assert getattr(args, key) is None
+
+    def test_config_without_path_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_grid_keys_reach_other_commands(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"theta_count": 9, "sphere_count": 8, "coupling": 0.0}))
@@ -339,6 +391,13 @@ class TestConfigFile:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv,code", [(["describe", "--L", "2"], 0), (["describe", "--L", "1"], 2)])
+    def test_console_script_exits_with_main_code(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr("sys.argv", ["toricqet", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
