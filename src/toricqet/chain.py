@@ -133,7 +133,7 @@ def protocol_system(model: ChainModel, axis: str = "x") -> ProtocolSystem:
         ground_energy=model.ground_energy,
         target=model.site_b,
         backend=StatevectorBackend(model.ground),
-        m_ops=measurement_projectors(model, axis),
+        measured=PauliString.single(n, model.site_a, axis),
         scheme=f"sigma^{axis} measurement on site {model.site_a} of {model.label()}",
         observables=observables,
     )

@@ -115,18 +115,18 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _run_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Every subcommand option by dest, --help and --config left out."""
+def _run_options(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's options by dest, --help and --config left out."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for p in sub.choices.values() for a in p._actions
-            if a.dest not in ("help", "config")}
+    return {name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+            for name, p in sub.choices.items()}
 
 
 # -- config file -----------------------------------------------------------------
 # A config key is an option's dest; its JSON type follows the option's declaration.
 
 _CONFIG_OPTIONS = _run_options(build_parser())
-CONFIG_KEYS = set(_CONFIG_OPTIONS)
+CONFIG_KEYS = {key for options in _CONFIG_OPTIONS.values() for key in options}
 
 
 def _is_int(value) -> bool:
@@ -153,16 +153,18 @@ def _check_config_value(action: argparse.Action, value):
         raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str) -> dict:
+    """The file's values, each a declared option of `command` of its flag's type."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
+    options = _CONFIG_OPTIONS[command]
+    undeclared = set(data) - set(options)
+    if undeclared:
+        raise ValueError(f"config keys in {path} that {command} does not take: {sorted(undeclared)}")
     for key, value in data.items():
-        _check_config_value(_CONFIG_OPTIONS[key], value)
+        _check_config_value(options[key], value)
     return data
 
 
@@ -315,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.config is not None:
             # explicit flags still beat the file's values on the second parse
-            args = build_parser(_load_config(args.config)).parse_args(argv)
+            args = build_parser(_load_config(args.config, args.command)).parse_args(argv)
         return COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -81,19 +81,16 @@ class QuadraticResponse:
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
-        ham = system.hamiltonian
         n = system.n_qubits
         expect = system.backend.expect
         sigmas = [sigma_poly(n, system.target, a) for a in AXIS_NAMES]
-        self.h: dict[int, float] = {}
+        self.h: dict[int, float] = dict(system.measured_energies)
         self.c: dict[int, np.ndarray] = {}
         self.w: dict[int, np.ndarray] = {}
         for k in OUTCOMES:
             # The sigmas act on the target, which no measured support holds,
             # so they commute with M_k and every tensor reads G_k = M_k H M_k.
-            m = system.m_ops[k]
-            g = m.mul(ham).mul(m)
-            self.h[k] = expect(g).real
+            g = system.measured_hamiltonian[k]
             self.c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
             self.w[k] = np.array(
                 [[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex

@@ -9,16 +9,20 @@ Post-measurement quantities use the unnormalized Kraus convention
     E_B = sum_k <xi| M_k U_k^dag H U_k M_k |xi>,
 
 i.e. ensemble averages over outcomes, reported relative to the ground
-energy.  A ProtocolSystem bundles one model's Hamiltonian, projectors and
-ground-state backend; direct_energy evaluates any system as exact
-Pauli-polynomial sandwiches, so the toric code on either engine and the
-positive-control chain run the identical code path.
+energy.  A ProtocolSystem bundles one model's Hamiltonian, measured string
+and ground-state backend; direct_energy evaluates any system with exact
+Pauli-polynomial algebra, so the toric code on either engine and the
+positive-control chain run the identical code path.  Two local facts keep
+that algebra small: M_k = (I + kS)/2 sandwiches a polynomial in one pass
+over its terms, and U_k acts on the target alone, so it changes only the
+Hamiltonian terms there (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .lattice import MeasurementScheme, ToricLattice
@@ -149,9 +153,10 @@ class ProtocolSystem:
     """One model's protocol, independent of which model produced it.
 
     Read by both the direct evaluator and the optimizer's response surface.
-    `observables` are the labelled operators of the post-measurement
-    profile; `closed_form` maps parameters to the model's predicted delta,
-    where one is known.
+    `measured` is the string S whose outcome k gives the Kraus projector
+    M_k = (I + kS)/2; it must not touch the target.  `observables` are the
+    labelled operators of the post-measurement profile; `closed_form` maps
+    parameters to the model's predicted delta, where one is known.
     """
 
     n_qubits: int
@@ -159,7 +164,7 @@ class ProtocolSystem:
     ground_energy: float
     target: int
     backend: object
-    m_ops: Mapping[int, PauliPolynomial]
+    measured: PauliString
     scheme: str
     observables: Mapping[str, PauliPolynomial]
     closed_form: Optional[Callable[[LoccParams], float]] = None
@@ -177,32 +182,88 @@ class ProtocolSystem:
             ground_energy=lat.ground_energy(),
             target=lat.bob_qubit,
             backend=backend or StabilizerBackend(lat.ground_group()),
-            m_ops=dict(zip(OUTCOMES, measurement_ops(scheme))),
+            measured=scheme.operator(),
             scheme=describe_scheme(scheme, lat),
             observables=observables,
             closed_form=delta_closed_form,
         )
 
+    @cached_property
+    def m_ops(self) -> dict[int, PauliPolynomial]:
+        """The Kraus projectors M_k = (I + kS)/2, by outcome."""
+        ident = PauliPolynomial.identity(self.n_qubits, 0.5)
+        return {k: ident + PauliPolynomial.from_string(self.measured, 0.5 * k) for k in OUTCOMES}
+
+    def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
+        """M_k op M_k in one pass over op's terms.
+
+        A term a that anticommutes with S drops out; one that commutes adds
+        (a + k S a)/2.  Keys, key order and coefficients are those of
+        m_ops[k].mul(op).mul(m_ops[k]).
+        """
+        sx, sz = self.measured.x_bits, self.measured.z_bits
+        m = self.m_ops[k].terms
+        half, shifted = m[(0, 0)], m[(sx, sz)]
+        acc: dict[tuple[int, int], complex] = {}
+        for (x, z), c in op.terms.items():
+            if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
+                continue
+            acc[(x, z)] = acc.get((x, z), 0.0) + half * c
+            sign = -1.0 if (sz & x).bit_count() & 1 else 1.0
+            key = (x ^ sx, z ^ sz)
+            acc[key] = acc.get(key, 0.0) + shifted * c * sign
+        return PauliPolynomial._from_raw(self.n_qubits, acc)
+
+    @cached_property
+    def measured_hamiltonian(self) -> dict[int, PauliPolynomial]:
+        """G_k = M_k H M_k, by outcome: the measured stage every evaluation reads."""
+        return {k: self.sandwich(self.hamiltonian, k) for k in OUTCOMES}
+
+    @cached_property
+    def measured_energies(self) -> dict[int, float]:
+        """h_k = <G_k>, by outcome; their sum is the energy after the measurement."""
+        return {k: self.backend.expect(g).real for k, g in self.measured_hamiltonian.items()}
+
+    def on_target(self, op: PauliPolynomial) -> PauliPolynomial:
+        """The terms of op whose support holds the target qubit."""
+        bit = 1 << self.target
+        return PauliPolynomial(
+            self.n_qubits, {key: c for key, c in op.terms.items() if (key[0] | key[1]) & bit}
+        )
+
+    @cached_property
+    def target_hamiltonian(self) -> PauliPolynomial:
+        """H_t: the Hamiltonian terms that touch the target, the only ones U_k changes."""
+        return self.on_target(self.hamiltonian)
+
+
+def rotation_change(system: ProtocolSystem, locc: LoccChoice, op: PauliPolynomial) -> float:
+    """sum_k <M_k (U_k^dag op_t U_k - op_t) M_k>, op_t the terms of op on the
+    target: the change the conditioned rotation makes to <op>.  U_k acts on
+    the target alone, so it commutes with every other term of op."""
+    op_t = system.on_target(op)
+    expect = system.backend.expect
+    change = 0.0
+    for k in OUTCOMES:
+        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
+        change += expect(system.sandwich(u.adjoint().mul(op_t).mul(u).sub(op_t), k)).real
+    return change
+
 
 def stage_expectations(system: ProtocolSystem, locc: LoccChoice, op: PauliPolynomial) -> tuple[float, float]:
     """(sum_k <M_k op M_k>, sum_k <M_k U_k^dag op U_k M_k>): op after the
-    measurement, and after the conditioned rotation."""
-    expect = system.backend.expect
-    measured = rotated = 0.0
-    for k in OUTCOMES:
-        m = system.m_ops[k]
-        measured += expect(m.mul(op).mul(m)).real
-        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
-        staged = u.mul(m)
-        rotated += expect(staged.adjoint().mul(op).mul(staged)).real
-    return measured, rotated
+    measurement, and after the conditioned rotation.  The rotated stage is
+    the measured one plus `rotation_change`, which reads only op's terms on
+    the target."""
+    measured = sum(system.backend.expect(system.sandwich(op, k)).real for k in OUTCOMES)
+    return measured, measured + rotation_change(system, locc, op)
 
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
     """sum_k <M_k O M_k> for every labelled observable O of the system."""
     expect = system.backend.expect
     return {
-        label: sum(expect(m.mul(op).mul(m)).real for m in system.m_ops.values())
+        label: sum(expect(system.sandwich(op, k)).real for k in OUTCOMES)
         for label, op in system.observables.items()
     }
 
@@ -210,15 +271,17 @@ def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
 def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: bool = True) -> EnergyReport:
     """Full direct evaluation of the protocol for one parameter choice.
 
-    Both energies are computed as explicit operator sandwiches; no reduced
-    formula is used, so this is the reference path the optimizer's fast
-    path is tested against.  A per-outcome `locc` is reported through its
-    outcome +1 parameters.
+    E_A reads the system's cached measured stage G_k = M_k H M_k.  The
+    rotation acts on the target alone, so delta = E_B - E_A is evaluated
+    exactly as sum_k <M_k (U_k^dag H_t U_k - H_t) M_k> on the target's terms
+    H_t, and E_B = E_A + delta.  No reduced formula (commutator, response
+    tensor or closed form) is used, so this is the reference path the
+    optimizer's fast path is tested against.  A per-outcome `locc` is
+    reported through its outcome +1 parameters.
     """
-    raw_a, raw_b = stage_expectations(system, locc, system.hamiltonian)
+    delta = rotation_change(system, locc, system.target_hamiltonian)
     p_plus, p_minus = (system.backend.expect(system.m_ops[k]).real for k in OUTCOMES)
-    e_a = raw_a - system.ground_energy
-    e_b = raw_b - system.ground_energy
+    e_a = sum(system.measured_energies.values()) - system.ground_energy
     shown = outcome_params(locc, 1)
     return EnergyReport(
         scheme=system.scheme,
@@ -228,8 +291,8 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
         p_plus=p_plus,
         p_minus=p_minus,
         e_a=e_a,
-        e_b=e_b,
-        delta=e_b - e_a,
+        e_b=e_a + delta,
+        delta=delta,
         closed_form=None if system.closed_form is None else system.closed_form(shown),
         ground_energy=system.ground_energy,
         stabilizer_expectations=post_measurement_profile(system) if include_profile else {},
@@ -393,15 +456,18 @@ def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport
 
 
 def target_commutator(system: ProtocolSystem, axis: Sequence[float]) -> PauliPolynomial:
-    """[H, n.sigma] at the target qubit, computed from the full Hamiltonian."""
-    return system.hamiltonian.commutator(axis_operator(system.n_qubits, system.target, axis))
+    """[H, n.sigma] at the target qubit, computed from the target's terms H_t:
+    every other term commutes with n.sigma there."""
+    return system.target_hamiltonian.commutator(axis_operator(system.n_qubits, system.target, axis))
 
 
 def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: LoccParams) -> CheckReport:
     """Step-by-step checks of the algebra behind the closed form.
 
     (a) conjugating H by the rotation splits into the measured energy plus
-        a single commutator correction (exact polynomial identity);
+        a single commutator correction (exact polynomial identity, checked
+        on the target's terms H_t together with U^dag U = I: U acts on the
+        target alone, so the two imply it for H);
     (b) that commutator reduces to the adjacent stars/plaquettes with the
         stated -2 coefficients (exact polynomial identity);
     (c) the term linear in the rotation angle has zero expectation;
@@ -412,7 +478,8 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
     backend = system.backend
     n = lat.n_qubits
     bob = lat.bob_qubit
-    ham = system.hamiltonian
+    ham_t = system.target_hamiltonian
+    ident = PauliPolynomial.identity(n)
     nx, ny, nz = params.axis
     s = math.sin(params.theta)
     rot_axis = axis_operator(n, bob, params.axis)
@@ -421,11 +488,12 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
 
     # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
     worst = 0.0
-    for k, m in system.m_ops.items():
+    for k in OUTCOMES:
         u = locc_unitary(params, k, bob, n)
-        lhs = m.mul(u.adjoint()).mul(ham).mul(u).mul(m)
-        rhs = m.mul(ham).mul(m) + m.mul(u.adjoint()).mul(comm).mul(m).scale(1j * k * s)
-        worst = max(worst, lhs.sub(rhs).max_abs_coeff())
+        u_dag = u.adjoint()
+        lhs = system.sandwich(u_dag.mul(ham_t).mul(u), k)
+        rhs = system.sandwich(ham_t, k) + system.sandwich(u_dag.mul(comm), k).scale(1j * k * s)
+        worst = max(worst, lhs.sub(rhs).max_abs_coeff(), u_dag.mul(u).sub(ident).max_abs_coeff())
     checks.append(Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst))
 
     # (b) [H, n.sigma] = -2 nx B sx - 2 ny (A+B) sy - 2 nz A sz at the target.
@@ -441,14 +509,14 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
 
     # (c) sum_k i k (sin 2 theta / 2) <M [H, n.sigma] M> = 0.
     linear = 0.0 + 0.0j
-    for k, m in system.m_ops.items():
-        linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * backend.expect(m.mul(comm).mul(m))
+    for k in OUTCOMES:
+        linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * backend.expect(system.sandwich(comm, k))
     checks.append(Check("linear rotation term vanishes", abs(linear) <= MATCH_TOL, abs(linear)))
 
     # (d) sin^2(theta) sum_k <M n.sigma [H, n.sigma] M> equals the direct delta.
     quad = 0.0
-    for m in system.m_ops.values():
-        quad += (s * s) * backend.expect(m.mul(rot_axis).mul(comm).mul(m)).real
+    for k in OUTCOMES:
+        quad += (s * s) * backend.expect(system.sandwich(rot_axis.mul(comm), k)).real
     report = direct_energy(system, params, include_profile=False)
     resid_d = abs(quad - report.delta)
     checks.append(Check("quadratic term equals direct delta", resid_d <= MATCH_TOL, resid_d))

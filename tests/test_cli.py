@@ -1,14 +1,16 @@
 """End-to-end command-line behavior: output lines, files, exit codes."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from toricqet import cli
+from toricqet import cli, protocol
 from toricqet.cli import CONFIG_KEYS, entry, main
 from toricqet.lattice import ToricLattice
+from toricqet.pauli import PauliPolynomial
 from toricqet.protocol import ProtocolSystem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,6 +283,42 @@ class TestBuildCounts:
         assert (len(built), len(hams)) == (systems, hamiltonians)
 
 
+class TestNoWholeLatticeProducts:
+    """verify reads the measured stage G_k once and rotates only the target's
+    terms: no Pauli product under the derivation chain or the direct
+    evaluator takes an operand as large as the Hamiltonian."""
+
+    def test_verify_multiplies_only_small_polynomials(self, capsys, monkeypatch):
+        depth = [0]
+        sizes = []
+
+        def nested(fn):
+            def inner(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return inner
+
+        for name in ("verify_derivation_chain", "direct_energy"):
+            monkeypatch.setattr(protocol, name, nested(getattr(protocol, name)))
+        monkeypatch.setattr(cli, "verify_derivation_chain", protocol.verify_derivation_chain)
+        mul = PauliPolynomial.mul
+
+        def sized_mul(left, right):
+            if depth[0]:
+                sizes.append(max(left.n_terms(), right.n_terms()))
+            return mul(left, right)
+
+        monkeypatch.setattr(PauliPolynomial, "mul", sized_mul)
+        code, out, err = run(capsys, "verify", "--L", "20", "--bob-qubit", "17", "--seed", "4")
+        assert code == 0, err
+        assert out.count(" PASS ") == 4
+        assert sizes, "no product recorded under the derivation chain"
+        assert max(sizes) < ToricLattice(20).hamiltonian().n_terms()
+
+
 class TestDescribe:
     def test_matches_golden_geometry(self, capsys):
         code, out, _ = run(capsys, "describe", "--L", "2")
@@ -294,6 +332,17 @@ class TestDescribe:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["L"] == 3 and doc["n_qubits"] == 18
+
+
+def subcommand_options() -> dict:
+    """Subcommand -> the dests of its options."""
+    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions} for name, p in action.choices.items()}
+
+
+def command_taking(key: str) -> str:
+    """The first subcommand that declares the config key."""
+    return next(name for name, dests in subcommand_options().items() if key in dests)
 
 
 class TestConfigFile:
@@ -342,9 +391,31 @@ class TestConfigFile:
         for value in ({"nested": 1}, wrong):
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({key: value}))
-            code, _, err = run(capsys, "describe", "--config", str(cfg))
+            code, _, err = run(capsys, command_taking(key), "--config", str(cfg))
             assert code == 2
-            assert repr(key) in err
+            assert repr(key) in err and "must be" in err
+
+    # per subcommand, an argv and a key that another subcommand declares
+    UNDECLARED = {
+        "verify": (["--L", "2"], "out"),
+        "nogo-scan": (["--L", "2", *FAST_GRID], "seed"),
+        "control": (["--sites", "2", *FAST_GRID], "L"),
+        "describe": ([], "theta_count"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(UNDECLARED))
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path, monkeypatch, command):
+        argv, key = self.UNDECLARED[command]
+        assert key in CONFIG_KEYS and key not in subcommand_options()[command]
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: "x.csv" if key == "out" else 3}))
+        code, out, err = run(capsys, command, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(key) in err and command in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     # one value of each key's declared type; coupling takes an integer as a number
     ACCEPTED = {
@@ -354,12 +425,13 @@ class TestConfigFile:
         "field": 0.5, "site_a": 1, "site_b": 0, "chain_axis": "y",
     }
 
-    def parsed(self, capsys, monkeypatch, tmp_path, data):
+    def parsed(self, capsys, monkeypatch, tmp_path, key, value):
+        command = command_taking(key)
         seen = []
-        monkeypatch.setitem(cli.COMMANDS, "describe", lambda args: seen.append(args) or 0)
+        monkeypatch.setitem(cli.COMMANDS, command, lambda args: seen.append(args) or 0)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(data))
-        code, _, err = run(capsys, "describe", "--config", str(cfg))
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == 0, err
         return seen[0]
 
@@ -368,12 +440,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
     def test_every_key_accepts_its_type(self, capsys, monkeypatch, tmp_path, key):
-        args = self.parsed(capsys, monkeypatch, tmp_path, {key: self.ACCEPTED[key]})
+        args = self.parsed(capsys, monkeypatch, tmp_path, key, self.ACCEPTED[key])
         assert getattr(args, key) == self.ACCEPTED[key]
 
     @pytest.mark.parametrize("key", ["edges", "out", "json_out", "site_b"])
     def test_null_accepted_where_default_is_none(self, capsys, monkeypatch, tmp_path, key):
-        args = self.parsed(capsys, monkeypatch, tmp_path, {key: None})
+        args = self.parsed(capsys, monkeypatch, tmp_path, key, None)
         assert getattr(args, key) is None
 
     def test_config_without_path_is_usage_error(self, capsys):

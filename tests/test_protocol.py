@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from conftest import random_hermitian_string
 
+from toricqet import protocol
+from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.protocol import (
+    OUTCOMES,
     LoccParams,
     ProtocolSystem,
     StabilizerBackend,
@@ -20,6 +23,7 @@ from toricqet.protocol import (
     locc_unitary,
     make_backends,
     measurement_ops,
+    outcome_params,
     outcome_probabilities,
     target_commutator,
     verify_cross_terms,
@@ -27,7 +31,7 @@ from toricqet.protocol import (
     verify_local_expectations,
     verify_plaquette_collapse,
 )
-from toricqet.statevector import apply_poly
+from toricqet.statevector import apply_poly, ground_state
 
 
 def random_params(rng) -> LoccParams:
@@ -201,6 +205,110 @@ class TestEnergyAfterLocc:
         assert "region A" in rep.scheme
 
 
+def coefficient_bits(poly: PauliPolynomial) -> list:
+    """Keys in order with the exact bits of each coefficient (-0.0 != 0.0)."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in poly.terms.items()]
+
+
+def random_polynomial(rng, measured: PauliString, count: int) -> PauliPolynomial:
+    """A Hermitian polynomial of random strings; about half of them come with
+    their product with the measured string, so terms merge in the sandwich."""
+    n = measured.n_qubits
+    weighted = []
+    for _ in range(count):
+        string = random_hermitian_string(rng, n)
+        weighted.append((string, rng.standard_normal()))
+        if rng.integers(2):
+            partner = measured.mul(string)
+            if not partner.is_hermitian():
+                partner = PauliString(n, partner.x_bits, partner.z_bits, partner.phase_exp + 1)
+            weighted.append((partner, rng.standard_normal()))
+    return PauliPolynomial.from_strings(n, weighted)
+
+
+class TestSandwich:
+    """system.sandwich(op, k) is bit for bit the product m.mul(op).mul(m)."""
+
+    @staticmethod
+    def assert_matches_product(system, op):
+        for k in OUTCOMES:
+            m = system.m_ops[k]
+            assert coefficient_bits(system.sandwich(op, k)) == coefficient_bits(m.mul(op).mul(m))
+
+    @pytest.mark.parametrize("L,bob", [(2, 0), (2, 5), (3, 0), (3, 17)])
+    def test_torus_hamiltonian(self, L, bob):
+        lat = ToricLattice(L, bob_qubit=bob)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        self.assert_matches_product(system, system.hamiltonian)
+
+    def test_random_hermitian_polynomials(self, lat2, lat3):
+        rng = np.random.default_rng(173)
+        for lat in (lat2, lat3):
+            star = next(edges for edges in lat.star_edges if lat.bob_qubit not in edges)
+            for scheme in (lat.full_region_scheme(), lat.scheme_from_edges(star)):
+                system = ProtocolSystem.from_toric(lat, scheme)
+                for count in (1, 5, 40):
+                    op = random_polynomial(rng, system.measured, count)
+                    self.assert_matches_product(system, op)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_chain_hamiltonian(self, axis):
+        rng = np.random.default_rng(179)
+        system = protocol_system(build_chain(6, site_a=2), axis)
+        self.assert_matches_product(system, system.hamiltonian)
+        self.assert_matches_product(system, random_polynomial(rng, system.measured, 30))
+
+
+def reference_energy(system, locc) -> tuple[float, float]:
+    """(E_A, E_B) as explicit sandwiches of the full Hamiltonian."""
+    ham = system.hamiltonian
+    raw_a = raw_b = 0.0
+    for k in OUTCOMES:
+        m = system.m_ops[k]
+        staged = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits).mul(m)
+        raw_a += system.backend.expect(m.mul(ham).mul(m)).real
+        raw_b += system.backend.expect(staged.adjoint().mul(ham).mul(staged)).real
+    return raw_a - system.ground_energy, raw_b - system.ground_energy
+
+
+class TestReferenceEnergy:
+    """direct_energy, which rotates only the target's terms, agrees with the
+    whole-Hamiltonian sandwich."""
+
+    TOL = 1e-12
+
+    def assert_matches_reference(self, system, locc):
+        rep = protocol.direct_energy(system, locc, include_profile=False)
+        e_a, e_b = reference_energy(system, locc)
+        assert abs(rep.e_a - e_a) <= self.TOL
+        assert abs(rep.e_b - e_b) <= self.TOL
+        assert abs(rep.delta - (e_b - e_a)) <= self.TOL
+
+    @pytest.mark.parametrize("L,bob", [(2, 3), (3, 11)])
+    def test_torus_both_backends(self, L, bob):
+        rng = np.random.default_rng(181 + L)
+        lat = ToricLattice(L, bob_qubit=bob)
+        scheme = lat.full_region_scheme()
+        for backend in (StabilizerBackend(lat.ground_group()), StatevectorBackend(ground_state(lat))):
+            system = ProtocolSystem.from_toric(lat, scheme, backend)
+            for _ in range(3):
+                self.assert_matches_reference(system, random_params(rng))
+            self.assert_matches_reference(system, {k: random_params(rng) for k in OUTCOMES})
+
+    def test_large_torus_high_edge(self):
+        rng = np.random.default_rng(191)
+        lat = ToricLattice(20, bob_qubit=799)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        self.assert_matches_reference(system, random_params(rng))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_chain_per_outcome(self, axis):
+        rng = np.random.default_rng(193)
+        system = protocol_system(build_chain(6, site_a=1, site_b=2), axis)
+        for _ in range(3):
+            self.assert_matches_reference(system, {k: random_params(rng) for k in OUTCOMES})
+
+
 class TestDeltaClosedForm:
     def test_values(self):
         assert delta_closed_form(LoccParams(math.pi / 2, (0.0, 0.0, 1.0))) == pytest.approx(4.0)
@@ -260,6 +368,20 @@ class TestStructuralChecks:
                 report = verify_derivation_chain(system, lat2, random_params(rng))
                 assert report.passed, report.failures()
                 assert len(report.checks) == 5
+
+    def test_non_unitary_rotation_fails_step_a(self, lat3, monkeypatch):
+        # step (a) checks the conjugation on the target's terms only; with
+        # U^dag U = I it covers H, so a non-unitary U must not pass it
+        def stretched(*args):
+            return locc_unitary(*args).scale(1.001)
+
+        system = ProtocolSystem.from_toric(lat3, lat3.full_region_scheme())
+        params = LoccParams.from_direction(0.9, (1.0, 2.0, 2.0))
+        assert verify_derivation_chain(system, lat3, params).checks[0].passed
+        monkeypatch.setattr(protocol, "locc_unitary", stretched)
+        step_a = verify_derivation_chain(system, lat3, params).checks[0]
+        assert step_a.label == "conjugation splits into commutator correction"
+        assert not step_a.passed and step_a.value > 1e-3
 
     def test_checks_fail_on_wrong_scheme_claim(self, lat2):
         # A scheme with even overlap everywhere (a star's edge set) must
