@@ -23,12 +23,14 @@ import numpy as np
 from .optimize import GridSpec, OptimizeResult, optimize_system
 from .pauli import PauliPolynomial, PauliString
 from .protocol import (
+    OUTCOMES,
     LoccChoice,
     ProtocolSystem,
     StatevectorBackend,
     direct_energy,
+    locc_unitary,
+    outcome_params,
     post_measurement_profile,
-    stage_expectations,
 )
 from .reports import EnergyReport
 from . import statevector as sv
@@ -149,18 +151,28 @@ def post_measurement_terms(model: ChainModel, axis: str = "x") -> dict[str, floa
 
 
 def term_energy_changes(model: ChainModel, locc: LoccChoice, axis: str = "x") -> dict[str, float]:
-    """Per-term energy change between the measured and rotated ensembles.
+    """Per-term energy change between the measured and rotated ensembles,
+    sum_k <M_k U_k^dag h U_k M_k> - sum_k <M_k h M_k> for each term h of H.
 
-    The rotation is local, so only terms touching site_b may change; the
-    dictionary makes that bookkeeping testable.
+    The rotated stage conjugates h by the whole staged operator U_k M_k and
+    does not use the rotation's locality, so the dictionary measures, rather
+    than assumes, that only terms touching site_b change.
     """
     system = protocol_system(model, axis)
+    expect = system.backend.expect
+    staged = {}
+    for k in OUTCOMES:
+        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
+        staged[k] = u.mul(system.m_ops[k])
     changes: dict[str, float] = {}
     for string, coeff in model.hamiltonian.strings():
-        before, after = stage_expectations(system, locc, PauliPolynomial.from_string(string, coeff))
+        term = PauliPolynomial.from_string(string, coeff)
+        change = 0.0
+        for k, op in staged.items():
+            change += expect(op.adjoint().mul(term).mul(op)).real - expect(system.sandwich(term, k)).real
         support = string.x_bits | string.z_bits
         label = f"term(x={string.x_bits:#x},z={string.z_bits:#x})"
-        changes[label] = after - before
+        changes[label] = change
         changes[label + ":touches_b"] = float(bool(support >> model.site_b & 1))
     return changes
 

@@ -90,7 +90,7 @@ class QuadraticResponse:
         for k in OUTCOMES:
             # The sigmas act on the target, which no measured support holds,
             # so they commute with M_k and every tensor reads G_k = M_k H M_k.
-            g = system.measured_hamiltonian[k]
+            g = system.sandwich(system.hamiltonian, k)
             self.c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
             self.w[k] = np.array(
                 [[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex

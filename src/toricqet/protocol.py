@@ -215,48 +215,19 @@ class ProtocolSystem:
         return PauliPolynomial._from_raw(self.n_qubits, acc)
 
     @cached_property
-    def measured_hamiltonian(self) -> dict[int, PauliPolynomial]:
-        """G_k = M_k H M_k, by outcome: the measured stage every evaluation reads."""
-        return {k: self.sandwich(self.hamiltonian, k) for k in OUTCOMES}
-
-    @cached_property
     def measured_energies(self) -> dict[int, float]:
-        """h_k = <G_k>, by outcome; their sum is the energy after the measurement."""
-        return {k: self.backend.expect(g).real for k, g in self.measured_hamiltonian.items()}
-
-    def on_target(self, op: PauliPolynomial) -> PauliPolynomial:
-        """The terms of op whose support holds the target qubit."""
-        bit = 1 << self.target
-        return PauliPolynomial(
-            self.n_qubits, {key: c for key, c in op.terms.items() if (key[0] | key[1]) & bit}
-        )
+        """h_k = <G_k>, G_k = M_k H M_k, by outcome; their sum is the energy
+        after the measurement.  Only the energies are kept: holding both G_k
+        for the system's life raises the peak memory of a large-torus scan."""
+        return {k: self.backend.expect(self.sandwich(self.hamiltonian, k)).real for k in OUTCOMES}
 
     @cached_property
     def target_hamiltonian(self) -> PauliPolynomial:
         """H_t: the Hamiltonian terms that touch the target, the only ones U_k changes."""
-        return self.on_target(self.hamiltonian)
-
-
-def rotation_change(system: ProtocolSystem, locc: LoccChoice, op: PauliPolynomial) -> float:
-    """sum_k <M_k (U_k^dag op_t U_k - op_t) M_k>, op_t the terms of op on the
-    target: the change the conditioned rotation makes to <op>.  U_k acts on
-    the target alone, so it commutes with every other term of op."""
-    op_t = system.on_target(op)
-    expect = system.backend.expect
-    change = 0.0
-    for k in OUTCOMES:
-        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
-        change += expect(system.sandwich(u.adjoint().mul(op_t).mul(u).sub(op_t), k)).real
-    return change
-
-
-def stage_expectations(system: ProtocolSystem, locc: LoccChoice, op: PauliPolynomial) -> tuple[float, float]:
-    """(sum_k <M_k op M_k>, sum_k <M_k U_k^dag op U_k M_k>): op after the
-    measurement, and after the conditioned rotation.  The rotated stage is
-    the measured one plus `rotation_change`, which reads only op's terms on
-    the target."""
-    measured = sum(system.backend.expect(system.sandwich(op, k)).real for k in OUTCOMES)
-    return measured, measured + rotation_change(system, locc, op)
+        bit = 1 << self.target
+        return PauliPolynomial(
+            self.n_qubits, {key: c for key, c in self.hamiltonian.terms.items() if (key[0] | key[1]) & bit}
+        )
 
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
@@ -271,15 +242,20 @@ def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
 def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: bool = True) -> EnergyReport:
     """Full direct evaluation of the protocol for one parameter choice.
 
-    E_A reads the system's cached measured stage G_k = M_k H M_k.  The
-    rotation acts on the target alone, so delta = E_B - E_A is evaluated
-    exactly as sum_k <M_k (U_k^dag H_t U_k - H_t) M_k> on the target's terms
-    H_t, and E_B = E_A + delta.  No reduced formula (commutator, response
+    E_A reads the system's cached measured-stage energies <G_k>,
+    G_k = M_k H M_k.  The rotation acts on the target alone, so
+    delta = E_B - E_A is evaluated exactly as
+    sum_k <M_k (U_k^dag H_t U_k - H_t) M_k> on the target's terms H_t, and
+    E_B = E_A + delta.  No reduced formula (commutator, response
     tensor or closed form) is used, so this is the reference path the
     optimizer's fast path is tested against.  A per-outcome `locc` is
     reported through its outcome +1 parameters.
     """
-    delta = rotation_change(system, locc, system.target_hamiltonian)
+    ham_t = system.target_hamiltonian
+    delta = 0.0
+    for k in OUTCOMES:
+        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
+        delta += system.backend.expect(system.sandwich(u.adjoint().mul(ham_t).mul(u).sub(ham_t), k)).real
     p_plus, p_minus = (system.backend.expect(system.m_ops[k]).real for k in OUTCOMES)
     e_a = sum(system.measured_energies.values()) - system.ground_energy
     shown = outcome_params(locc, 1)
@@ -444,13 +420,13 @@ def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport
     checks = []
     for i, j in (("z", "x"), ("x", "y")):
         pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
-        for k, m in system.m_ops.items():
-            val = abs(backend.expect(m.mul(pair).mul(star_sum).mul(m)))
+        for k in OUTCOMES:
+            val = abs(backend.expect(system.sandwich(pair.mul(star_sum), k)))
             checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", val <= tol, val))
     contrast = 0.0
     pair_yy = sigma_poly(n, lat.bob_qubit, "y").mul(sigma_poly(n, lat.bob_qubit, "y"))
-    for m in system.m_ops.values():
-        contrast += backend.expect(m.mul(pair_yy).mul(star_sum).mul(m)).real
+    for k in OUTCOMES:
+        contrast += backend.expect(system.sandwich(pair_yy.mul(star_sum), k)).real
     checks.append(Check("contrast: (y,y) term is nonzero", abs(contrast) > 0.5, abs(contrast), contrast=True))
     return CheckReport("rotation cross terms vanish", tuple(checks))
 
