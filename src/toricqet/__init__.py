@@ -1,9 +1,9 @@
 """Exact check of measurement-feedback energy extraction on the toric code.
 
 Two independent backends compute the same protocol energies: a symbolic
-stabilizer-expectation engine that works at any lattice size, and a dense
-statevector oracle limited to small lattices.  Agreement between them is
-the package's core evidence.
+stabilizer-expectation engine that works at any lattice size, and a
+brute-force statevector oracle limited to small lattices.  Agreement
+between them is the package's core evidence.
 """
 
 from .pauli import PauliPolynomial, PauliString, phase_value

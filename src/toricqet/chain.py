@@ -92,8 +92,8 @@ def build_chain(
     with np.errstate(over="ignore", invalid="ignore"):
         mat = sv.poly_to_dense(ham)
         evals, evecs = np.linalg.eigh(mat)
-        ground = sv.StateVector(n, np.ascontiguousarray(evecs[:, 0]))
-        residual = float(np.linalg.norm(mat @ ground.amplitudes - evals[0] * ground.amplitudes))
+        vec = evecs[:, 0]
+        residual = float(np.linalg.norm(mat @ vec - evals[0] * vec))
     bound = RESIDUAL_TOL * max(1.0, abs(coupling), abs(field))
     if not residual <= bound:
         raise ValueError(f"eigensolver residual {residual:.3e} exceeds {bound:.3e}")
@@ -104,7 +104,7 @@ def build_chain(
         site_a=site_a,
         site_b=site_b,
         hamiltonian=ham,
-        ground=ground,
+        ground=sv.StateVector(n, np.flatnonzero(vec), vec[vec != 0]),
         ground_energy=float(evals[0]),
     )
 

@@ -5,23 +5,18 @@ Basis states are integers whose bit j is the Z eigenvalue of qubit j
 
     P |b> = i^p * (-1)^popcount(z & b) |b XOR x>
 
-Everything reads only the state's nonzero support S (for the toric ground
-state, the 2^(L^2-1) basis states of one star-group orbit), through one
-gather:
-
-    (P psi)[r] = i^p (-1)^popcount(z & (r XOR x)) psi[r XOR x]
-
-An apply computes the rows r in S XOR x, the only ones where P psi can be
-nonzero; an expectation sums conj(psi[b]) (P psi)[b] over b in S, since
-every b outside S contributes exactly 0.  Amplitude arrays are still
-dense, so states are exponential in qubit count and guarded by explicit
-capacity limits.
+A state holds only its nonzero amplitudes: the ascending basis indices S
+(for the toric ground state, the 2^(L^2-1) basis states of one star-group
+orbit) and their values.  An apply maps S to S XOR x for each term and sums
+the rows term by term; an expectation sums conj(psi[b]) (P psi)[b] over b
+in S, reading psi at b XOR x by binary search in S, and 0 off S.  States
+are still capped by qubit count, and exact diagonalization by a smaller
+dense-matrix limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,43 +38,35 @@ def _check_state_capacity(n_qubits: int):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
+    """The nonzero amplitudes `values` at the ascending int64 basis indices `support`."""
+
     n_qubits: int
-    amplitudes: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits: int) -> "StateVector":
         _check_state_capacity(n_qubits)
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[bits] = 1.0
-        return cls(n_qubits, amps)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Indices of the nonzero amplitudes, ascending.  Computed once, so
-        the amplitudes must not be changed in place afterwards."""
-        return np.flatnonzero(self.amplitudes)
+        return cls(n_qubits, np.array([bits], dtype=np.int64), np.ones(1, dtype=np.complex128))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n_qubits, self.amplitudes / n)
+        return StateVector(self.n_qubits, self.support, self.values / n)
 
 
-def _gather(x_bits: int, z_bits: int, amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(X^x Z^z psi)[rows]: psi read at rows XOR x, signed by the parity of
-    z on that source index."""
-    src = rows ^ x_bits if x_bits else rows
-    vals = amps[src]
-    if z_bits:
-        parity = np.bitwise_count(src & z_bits).astype(np.int64) & 1
-        vals = vals * (1.0 - 2.0 * parity)
-    return vals
+def _z_signed(z_bits: int, basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals, each signed by the parity of z on its basis index."""
+    if not z_bits:
+        return vals
+    parity = np.bitwise_count(basis & z_bits).astype(np.int64) & 1
+    return vals * (1.0 - 2.0 * parity)
 
 
 def _check_size(op, state: StateVector):
@@ -88,24 +75,39 @@ def _check_size(op, state: StateVector):
 
 
 def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
-    """sum_k c_k P_k psi.  Term k is nonzero only on the rows S XOR x_k, so
-    only those are computed; every other amplitude stays 0."""
+    """sum_k c_k P_k psi.  Term k maps the support S to S XOR x_k; the rows
+    are summed term by term, in term order, and a row that sums to exactly
+    0 leaves the support."""
     _check_size(poly, state)
-    out = np.zeros(len(state.amplitudes), dtype=np.complex128)
-    for (x, z), coeff in poly.terms.items():
-        rows = state.support ^ x if x else state.support
-        out[rows] += coeff * _gather(x, z, state.amplitudes, rows)
-    return StateVector(state.n_qubits, out)
+    s = state.support
+    rows = np.empty((poly.n_terms(), len(s)), dtype=np.int64)
+    vals = np.empty(rows.shape, dtype=np.complex128)
+    for i, ((x, z), coeff) in enumerate(poly.terms.items()):
+        rows[i] = s ^ x
+        vals[i] = coeff * _z_signed(z, s, state.values)
+    support, inverse = np.unique(rows.ravel(), return_inverse=True)
+    values = np.zeros(len(support), dtype=np.complex128)
+    np.add.at(values, inverse, vals.ravel())
+    nonzero = values != 0
+    return StateVector(state.n_qubits, support[nonzero], values[nonzero])
 
 
 def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    """<psi| sum_k c_k P_k |psi>, read on the support S alone."""
+    """<psi| sum_k c_k P_k |psi>, read on the support S alone:
+    (P psi)[b] = i^p (-1)^popcount(z & (b XOR x)) psi[b XOR x]."""
     _check_size(poly, state)
-    rows = state.support
-    total = np.zeros(len(rows), dtype=np.complex128)
+    s = state.support
+    total = np.zeros(len(s), dtype=np.complex128)
     for (x, z), coeff in poly.terms.items():
-        total += coeff * _gather(x, z, state.amplitudes, rows)
-    return complex(np.vdot(state.amplitudes[rows], total))
+        src, vals = s ^ x, state.values
+        if x:
+            pos = s.searchsorted(src)
+            vals = vals.take(pos, mode="clip")
+            # a src outside S reads 0; found by xor, not !=, whose comparison
+            # loops add 128 KB of numpy code to the chain control's peak RSS
+            vals[(s.take(pos, mode="clip") ^ src).astype(bool)] = 0
+        total += coeff * _z_signed(z, src, vals)
+    return complex(np.vdot(state.values, total))
 
 
 def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVector:
@@ -118,7 +120,6 @@ def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVe
     """
     if len(sector) != 2 or any(s not in (1, -1) for s in sector):
         raise ValueError("sector must be a pair of +-1 loop signs")
-    _check_state_capacity(lat.n_qubits)
     bits = 0
     for flip_edges, sign in zip(lat.x_flip_edges, sector):
         if sign == -1:
@@ -146,9 +147,3 @@ def poly_to_dense(poly: PauliPolynomial) -> np.ndarray:
         vals = coeff * (1.0 - 2.0 * parity)
         mat[idx ^ x, idx] += vals
     return mat
-
-
-def ground_space_dimension(lat: ToricLattice, tol: float = 1e-9) -> int:
-    """Degeneracy of the lowest eigenvalue by dense diagonalization."""
-    evals = np.linalg.eigvalsh(poly_to_dense(lat.hamiltonian()))
-    return int(np.count_nonzero(evals <= evals[0] + tol))

@@ -5,7 +5,7 @@ import pytest
 
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString, phase_value
-from toricqet.statevector import ground_state
+from toricqet.statevector import StateVector, ground_state
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +29,13 @@ def dense_poly(poly: PauliPolynomial) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for string, coeff in poly.strings():
         out += coeff * dense_string(string)
+    return out
+
+
+def dense_state(state: StateVector) -> np.ndarray:
+    """The full 2^n amplitude array of a state, zero off its support."""
+    out = np.zeros(1 << state.n_qubits, dtype=np.complex128)
+    out[state.support] = state.values
     return out
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_state
 
 from toricqet.chain import (
     build_chain,
@@ -61,7 +62,7 @@ class TestBuildChain:
     def test_ground_is_eigenvector(self):
         model = build_chain(4, coupling=0.7, field=1.3)
         mat = sv.poly_to_dense(model.hamiltonian)
-        vec = model.ground.amplitudes
+        vec = dense_state(model.ground)
         assert np.linalg.norm(mat @ vec - model.ground_energy * vec) < 1e-9
 
     def test_hamiltonian_term_count(self):

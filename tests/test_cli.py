@@ -43,11 +43,29 @@ class TestVerify:
         assert code == 2
         assert "capacity" in err
 
-    def test_custom_edges_verified(self, capsys):
-        # measuring a sub-region still satisfies the collapse dichotomy
+    def test_custom_edges_verified(self, capsys, monkeypatch):
+        # measuring a sub-region still satisfies the collapse dichotomy; edges
+        # 1, 2, 5 meet both plaquettes at the target oddly, so the derivation
+        # chain still compares against the closed form
+        chains = count_calls(monkeypatch, cli, "verify_derivation_chain")
         code, out, _ = run(capsys, "verify", "--L", "2", "--edges", "1", "2", "5")
         assert code == 0
         assert "LEMMA1 PASS" in out
+        assert chains and all(rep.checks[-1].label == "delta equals closed form" for rep in chains)
+
+    def test_closed_form_skipped_where_not_derived(self, capsys, tmp_path):
+        # edge 3 meets plaquette (2,3,8,5) at target edge 8 once and plaquette
+        # (8,9,14,11) not at all: that one passes through, so 4 sin^2(theta)
+        # (ny^2 + nz^2) does not apply and the claim is not refuted
+        argv = ("--L", "3", "--bob-qubit", "8", "--edges", "3")
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert "FAIL" not in out
+        json_path = tmp_path / "argmin.json"
+        code, out, _ = run(capsys, "nogo-scan", *argv, *FAST_GRID, "--json", str(json_path))
+        assert code == 0
+        assert "NOGO CONFIRMED" in out
+        assert json.loads(json_path.read_text())["closed_form"] is None
 
     def test_edges_touching_target_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--L", "2", "--edges", "0", "1")
@@ -255,12 +273,14 @@ class TestGoldenArtifacts:
 
 
 def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name; the returned list gets the result of each call."""
     calls = []
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
 
     monkeypatch.setattr(owner, name, counted)
     return calls

@@ -17,6 +17,7 @@ from toricqet.protocol import (
     StabilizerBackend,
     StatevectorBackend,
     delta_closed_form,
+    direct_energy,
     energy_after_locc,
     energy_injected,
     excitation_profile,
@@ -320,6 +321,28 @@ class TestDeltaClosedForm:
         rng = np.random.default_rng(103)
         for _ in range(1000):
             assert delta_closed_form(random_params(rng)) >= 0.0
+
+    def test_attached_exactly_where_it_holds(self):
+        # the torus formula holds for an X-string with odd overlap with every
+        # plaquette at the target; the x-axis quarter turn excites any
+        # plaquette that passes through, where the formula reads 0
+        rng = np.random.default_rng(127)
+        seen = set()
+        for L in (2, 3, 4):
+            draws = [LoccParams(math.pi / 2, (1.0, 0.0, 0.0))] + [random_params(rng) for _ in range(3)]
+            for _ in range(10):
+                lat = ToricLattice(L, bob_qubit=int(rng.integers(2 * L * L)))
+                edges = []
+                while not edges:
+                    edges = [e for e in lat.region_a_edges if rng.random() < 0.5]
+                system = ProtocolSystem.from_toric(lat, lat.scheme_from_edges(edges))
+                holds = all(
+                    abs(direct_energy(system, p, include_profile=False).delta - delta_closed_form(p)) <= 1e-9
+                    for p in draws
+                )
+                assert (system.closed_form is not None) == holds, (L, lat.bob_qubit, edges)
+                seen.add(holds)
+        assert seen == {True, False}
 
 
 class TestStructuralChecks:

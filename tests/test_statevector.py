@@ -1,8 +1,10 @@
 """Brute-force backend checks and exact small-lattice facts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import dense_poly, dense_string, random_string
+from conftest import dense_poly, dense_state, dense_string, random_string
 
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
@@ -10,7 +12,6 @@ from toricqet.statevector import (
     CapacityError,
     StateVector,
     apply_poly,
-    ground_space_dimension,
     ground_state,
     poly_expectation,
     poly_to_dense,
@@ -20,7 +21,13 @@ from toricqet.statevector import (
 def random_state(rng, n: int) -> StateVector:
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n, amps.astype(np.complex128))
+    return StateVector(n, np.arange(1 << n, dtype=np.int64), amps.astype(np.complex128))
+
+
+def ground_space_dimension(lat: ToricLattice, tol: float = 1e-9) -> int:
+    """Degeneracy of the lowest eigenvalue by dense diagonalization."""
+    evals = np.linalg.eigvalsh(poly_to_dense(lat.hamiltonian()))
+    return int(np.count_nonzero(evals <= evals[0] + tol))
 
 
 class TestApply:
@@ -30,8 +37,8 @@ class TestApply:
             n = int(rng.integers(1, 7))
             p = random_string(rng, n)
             state = random_state(rng, n)
-            got = apply_poly(PauliPolynomial.from_string(p), state).amplitudes
-            want = dense_string(p) @ state.amplitudes
+            got = dense_state(apply_poly(PauliPolynomial.from_string(p), state))
+            want = dense_string(p) @ dense_state(state)
             assert np.allclose(got, want, atol=1e-13)
 
     def test_apply_poly_matches_dense(self):
@@ -47,8 +54,8 @@ class TestApply:
                 ],
             )
             state = random_state(rng, n)
-            got = apply_poly(poly, state).amplitudes
-            want = dense_poly(poly) @ state.amplitudes
+            got = dense_state(apply_poly(poly, state))
+            want = dense_poly(poly) @ dense_state(state)
             assert np.allclose(got, want, atol=1e-12)
 
     def test_poly_to_dense_matches_oracle(self):
@@ -64,7 +71,8 @@ class TestApply:
         rng = np.random.default_rng(73)
         state = random_state(rng, 4)
         p = PauliString.from_support(4, [1, 3], "y")
-        want = np.vdot(state.amplitudes, dense_string(p) @ state.amplitudes)
+        amps = dense_state(state)
+        want = np.vdot(amps, dense_string(p) @ amps)
         assert poly_expectation(PauliPolynomial.from_string(p), state) == pytest.approx(want)
 
     def test_size_mismatch_rejected(self):
@@ -77,7 +85,7 @@ def scatter_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
     """<psi|P|psi> from a full-array scatter of every term,
     P|b> = c (-1)^popcount(z & b) |b XOR x>, written independently of the
     support kernel for states past the kron oracle's reach."""
-    amps = state.amplitudes
+    amps = dense_state(state)
     idx = np.arange(len(amps))
     out = np.zeros_like(amps)
     for (x, z), coeff in poly.terms.items():
@@ -87,7 +95,7 @@ def scatter_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
 
 
 def reference_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    amps = state.amplitudes
+    amps = dense_state(state)
     if state.n_qubits <= 10:
         return complex(np.vdot(amps, dense_poly(poly) @ amps))
     return scatter_expectation(poly, state)
@@ -139,12 +147,10 @@ class TestSupportKernel:
 
     def test_explicit_zeros_mapped_outside_support(self):
         rng = np.random.default_rng(89)
-        state = random_state(rng, 4)
-        zeros = np.array([1, 2, 7, 8, 13])
-        state.amplitudes[zeros] = 0.0
-        state = state.normalized()
-        support = set(state.support.tolist())
-        assert support == set(range(16)) - set(zeros.tolist())
+        full = random_state(rng, 4)
+        kept = np.setdiff1d(full.support, [1, 2, 7, 8, 13])
+        state = StateVector(4, kept, full.values[kept]).normalized()
+        support = set(kept.tolist())
         x = 0b0011
         mapped = {b ^ x for b in support}
         assert mapped & support and mapped - support  # part of S lands outside S
@@ -152,11 +158,23 @@ class TestSupportKernel:
         self.check(rng, state, strings)
         # the applies compute only the rows S XOR x; every other row is 0
         for p in strings + [random_string(rng, 4) for _ in range(20)]:
-            want = dense_string(p) @ state.amplitudes
-            assert np.allclose(apply_poly(PauliPolynomial.from_string(p), state).amplitudes, want, atol=1e-13)
+            want = dense_string(p) @ dense_state(state)
+            assert np.allclose(dense_state(apply_poly(PauliPolynomial.from_string(p), state)), want, atol=1e-13)
             poly = PauliPolynomial.from_strings(4, [(p, 0.5), (random_string(rng, 4), -1.5j)])
-            want = dense_poly(poly) @ state.amplitudes
-            assert np.allclose(apply_poly(poly, state).amplitudes, want, atol=1e-12)
+            want = dense_poly(poly) @ dense_state(state)
+            assert np.allclose(dense_state(apply_poly(poly, state)), want, atol=1e-12)
+
+    def test_cancelled_rows_leave_the_support(self):
+        ident, flip = PauliString.identity(3), PauliString.single(3, 0, "x")
+        plus = PauliPolynomial.from_strings(3, [(ident, 0.5), (flip, 0.5)])
+        minus = PauliPolynomial.from_strings(3, [(ident, 0.5), (flip, -0.5)])
+        state = apply_poly(minus, apply_poly(plus, StateVector.basis_state(3, 0b101)))
+        assert len(state.support) == len(state.values) == 0
+        assert state.norm() == 0.0
+        rng = np.random.default_rng(97)
+        for p in [PauliString.identity(3)] + [random_string(rng, 3) for _ in range(20)]:
+            assert poly_expectation(PauliPolynomial.from_string(p), state) == 0
+        assert len(apply_poly(plus, state).support) == 0
 
     def test_size_mismatch_rejected(self):
         state = StateVector.basis_state(2, 0)
@@ -186,7 +204,7 @@ class TestGroundState:
         states = [ground_state(lat2, s) for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
         for i in range(4):
             for j in range(i + 1, 4):
-                overlap = np.vdot(states[i].amplitudes, states[j].amplitudes)
+                overlap = np.vdot(dense_state(states[i]), dense_state(states[j]))
                 assert abs(overlap) < 1e-12
 
     def test_L2_spectrum(self, lat2):
@@ -198,6 +216,16 @@ class TestGroundState:
 
     def test_L3_ground_energy(self, lat3, gs3):
         assert poly_expectation(lat3.hamiltonian(), gs3) == pytest.approx(-18.0)
+
+    def test_L3_build_holds_only_the_support(self, lat3):
+        # 256 nonzero amplitudes; one full 2^18-entry array alone takes 4 MiB
+        tracemalloc.start()
+        try:
+            ground_state(lat3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_sector_rejected(self, lat2):
         with pytest.raises(ValueError):
@@ -211,7 +239,7 @@ class TestCapacity:
 
     def test_dense_capacity(self):
         with pytest.raises(CapacityError):
-            ground_space_dimension(ToricLattice(3))  # 18 qubits
+            poly_to_dense(ToricLattice(3).hamiltonian())  # 18 qubits
         with pytest.raises(CapacityError):
             poly_to_dense(PauliPolynomial.identity(17))
 
