@@ -111,9 +111,8 @@ def build_chain(
 
 def measurement_projectors(model: ChainModel, axis: str = "x") -> dict[int, PauliPolynomial]:
     """Kraus projectors (I +- sigma^axis_siteA) / 2."""
-    half = PauliPolynomial.from_string(PauliString.single(model.n_qubits, model.site_a, axis), 0.5)
-    ident = PauliPolynomial.identity(model.n_qubits, 0.5)
-    return {1: ident + half, -1: ident - half}
+    measured = PauliString.single(model.n_qubits, model.site_a, axis)
+    return {k: PauliPolynomial.projector(measured, k) for k in OUTCOMES}
 
 
 def protocol_system(model: ChainModel, axis: str = "x") -> ProtocolSystem:

@@ -240,11 +240,11 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         res = optimize_system(system, grid, independent=args.independent)
         blocks.append((res, backend.name))
-        deviation = float(np.abs(res.deltas - res.closed_form).max())
+        deviation = "" if system.closed_form is None else (
+            f"max |delta - closed_form| = {np.abs(res.deltas - res.closed_form).max():.3e}; ")
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}; grid min = {format_float(res.grid_min)}; "
-              f"max |delta - closed_form| = {deviation:.3e}; "
-              f"theta=0 attains minimum: {res.zero_theta_attains}")
+              f"{deviation}theta=0 attains minimum: {res.zero_theta_attains}")
         if res.min_delta < overall_min:
             overall_min = res.min_delta
             best = (system, res)

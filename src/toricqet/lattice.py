@@ -45,10 +45,7 @@ class MeasurementScheme:
         return PauliString.from_support(self.n_qubits, self.edges, "x")
 
     def kraus(self, outcome: int) -> PauliPolynomial:
-        if outcome not in (1, -1):
-            raise ValueError("outcome must be +-1")
-        ident = PauliPolynomial.identity(self.n_qubits, 0.5)
-        return ident + PauliPolynomial.from_string(self.operator(), 0.5 * outcome)
+        return PauliPolynomial.projector(self.operator(), outcome)
 
 
 class ToricLattice:

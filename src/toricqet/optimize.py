@@ -4,11 +4,13 @@ Because the conditioned unitary is linear in (cos theta, sin theta), the
 final energy is an exact quadratic form in that pair.  For each
 outcome k the response precomputes
 
-    h_k      = <G_k>,  G_k = M_k H M_k
-    C_k[i]   = <M_k [H, sigma^i] M_k> = <[G_k, sigma^i]>     (i = x, y, z)
-    W_k[i,j] = <M_k sigma^i H sigma^j M_k> = <sigma^i G_k sigma^j>
+    h_k      = <M_k H M_k>                  (the system's measured_energies)
+    C_k[i]   = <M_k [H_t, sigma^i] M_k>     (i = x, y, z; target_commutator)
+    W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (each operator through system.sandwich)
 
-after which, with the unit 4-vector w = (cos theta, sin theta n),
+H_t holds the terms on the target, the only ones sigma^i fails to commute
+with; the sigmas commute with M_k, since S never touches the target.  Then,
+with the unit 4-vector w = (cos theta, sin theta n),
 
     delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
     r_k = k Re(i C_k).
@@ -30,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .lattice import MeasurementScheme, ToricLattice
-from .protocol import AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, outcome_params, sigma_poly
+from .protocol import (AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, outcome_params, sigma_poly,
+                       target_commutator)
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 # theta = 0 leaves the state untouched: delta = K_00 = 0 exactly.
@@ -81,30 +84,28 @@ class QuadraticResponse:
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
-        n = system.n_qubits
         expect = system.backend.expect
-        sigmas = [sigma_poly(n, system.target, a) for a in AXIS_NAMES]
+        sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
         self.h: dict[int, float] = dict(system.measured_energies)
-        self.c: dict[int, np.ndarray] = {}
-        self.w: dict[int, np.ndarray] = {}
-        for k in OUTCOMES:
-            # The sigmas act on the target, which no measured support holds,
-            # so they commute with M_k and every tensor reads G_k = M_k H M_k.
-            g = system.sandwich(system.hamiltonian, k)
-            self.c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
-            self.w[k] = np.array(
-                [[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex
-            )
+        comms = [target_commutator(system, axis) for axis in CANONICAL_AXES]
+        c = {k: np.array([expect(system.sandwich(comm, k)) for comm in comms], dtype=complex) for k in OUTCOMES}
+        w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
+        for i, si in enumerate(sigmas):
+            for j, sj in enumerate(sigmas):
+                # One whole-H product alive at a time (peak memory), read by both outcomes.
+                product = si.mul(system.hamiltonian).mul(sj)
+                for k in OUTCOMES:
+                    w[k][i, j] = expect(system.sandwich(product, k))
         self.p_plus = expect(system.m_ops[1]).real
         self.e_a = sum(self.h.values()) - system.ground_energy
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
-        self.w_shared = sum(self.w[k].real for k in OUTCOMES)
-        self.r_shared = sum(k * (1j * self.c[k]).real for k in OUTCOMES)
+        self.w_shared = sum(w[k].real for k in OUTCOMES)
+        self.r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)
         self.forms = {}
         for k in OUTCOMES:
             form = np.zeros((4, 4))
-            form[0, 1:] = form[1:, 0] = k * (1j * self.c[k]).real / 2.0
-            quad = self.w[k].real
+            form[0, 1:] = form[1:, 0] = k * (1j * c[k]).real / 2.0
+            quad = w[k].real
             form[1:, 1:] = (quad + quad.T) / 2.0 - self.h[k] * np.eye(3)
             self.forms[k] = form
 

@@ -179,6 +179,13 @@ class PauliPolynomial:
         return cls._from_raw(n_qubits, acc)
 
     @classmethod
+    def projector(cls, string: PauliString, k: int) -> "PauliPolynomial":
+        """The Kraus projector (I + k string)/2 onto outcome k = +-1 of a Hermitian string."""
+        if k not in (1, -1):
+            raise ValueError("outcome must be +-1")
+        return cls.identity(string.n_qubits, 0.5) + cls.from_string(string, 0.5 * k)
+
+    @classmethod
     def _from_raw(cls, n_qubits: int, raw: dict[tuple[int, int], complex]) -> "PauliPolynomial":
         pruned = {k: v for k, v in raw.items() if abs(v) >= PRUNE_TOL}
         return cls(n_qubits, pruned)

@@ -197,8 +197,7 @@ class ProtocolSystem:
     @cached_property
     def m_ops(self) -> dict[int, PauliPolynomial]:
         """The Kraus projectors M_k = (I + kS)/2, by outcome."""
-        ident = PauliPolynomial.identity(self.n_qubits, 0.5)
-        return {k: ident + PauliPolynomial.from_string(self.measured, 0.5 * k) for k in OUTCOMES}
+        return {k: PauliPolynomial.projector(self.measured, k) for k in OUTCOMES}
 
     def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
         """M_k op M_k in one pass over op's terms.
@@ -404,10 +403,7 @@ def verify_local_expectations(system: ProtocolSystem, lat: ToricLattice) -> Chec
 
 def _adjacent_sum(n_qubits: int, ops: Sequence[PauliString], touching: Sequence[int]) -> PauliPolynomial:
     """Sum of the stabilizers ops[i] for i in touching."""
-    acc = PauliPolynomial.zero(n_qubits)
-    for idx in touching:
-        acc = acc + PauliPolynomial.from_string(ops[idx])
-    return acc
+    return PauliPolynomial.from_strings(n_qubits, ((ops[idx], 1.0) for idx in touching))
 
 
 def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricqet import cli, protocol
+from toricqet import cli, optimize, protocol
 from toricqet.cli import CONFIG_KEYS, entry, main
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial
@@ -118,6 +118,13 @@ class TestNogoScan:
             worst = max(abs(float(r[7]) - float(r[8])) for r in rows if r[9] == tag)
             line = next(ln for ln in out.splitlines() if ln.startswith(f"[{tag}]"))
             assert f"max |delta - closed_form| = {worst:.3e};" in line
+
+    def test_no_closed_form_clause_without_a_closed_form(self, capsys):
+        # X on edge 3 collapses only one of the two plaquettes at edge 8: no closed form.
+        code, out, _ = run(capsys, "nogo-scan", "--L", "3", "--bob-qubit", "8", "--edges", "3")
+        assert code == 0
+        assert "NOGO CONFIRMED" in out
+        assert "closed_form" not in out
 
     def test_sector_choice_scans_clean(self, capsys):
         code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--sector", "-1", "-1", *FAST_GRID)
@@ -305,10 +312,12 @@ class TestBuildCounts:
 
 class TestNoWholeLatticeProducts:
     """verify reads the measured stage G_k once and rotates only the target's
-    terms: no Pauli product under the derivation chain or the direct
-    evaluator takes an operand as large as the Hamiltonian."""
+    terms, and the optimizer reads the target's commutator and sigma^i H sigma^j:
+    no Pauli product under them takes an operand larger than the Hamiltonian."""
 
-    def test_verify_multiplies_only_small_polynomials(self, capsys, monkeypatch):
+    @staticmethod
+    def _mul_sizes(monkeypatch, module, names):
+        """Largest operand of each PauliPolynomial.mul made under module.names."""
         depth = [0]
         sizes = []
 
@@ -321,9 +330,10 @@ class TestNoWholeLatticeProducts:
                     depth[0] -= 1
             return inner
 
-        for name in ("verify_derivation_chain", "direct_energy"):
-            monkeypatch.setattr(protocol, name, nested(getattr(protocol, name)))
-        monkeypatch.setattr(cli, "verify_derivation_chain", protocol.verify_derivation_chain)
+        for name in names:
+            monkeypatch.setattr(module, name, nested(getattr(module, name)))
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, getattr(module, name))
         mul = PauliPolynomial.mul
 
         def sized_mul(left, right):
@@ -332,11 +342,23 @@ class TestNoWholeLatticeProducts:
             return mul(left, right)
 
         monkeypatch.setattr(PauliPolynomial, "mul", sized_mul)
+        return sizes
+
+    def test_verify_multiplies_only_small_polynomials(self, capsys, monkeypatch):
+        sizes = self._mul_sizes(monkeypatch, protocol, ("verify_derivation_chain", "direct_energy"))
         code, out, err = run(capsys, "verify", "--L", "20", "--bob-qubit", "17", "--seed", "4")
         assert code == 0, err
         assert out.count(" PASS ") == 4
         assert sizes, "no product recorded under the derivation chain"
         assert max(sizes) < ToricLattice(20).hamiltonian().n_terms()
+
+    def test_nogo_scan_multiplies_nothing_larger_than_h(self, capsys, monkeypatch):
+        sizes = self._mul_sizes(monkeypatch, optimize, ("optimize_system",))
+        code, out, err = run(capsys, "nogo-scan", "--L", "8", "--bob-qubit", "100", *FAST_GRID)
+        assert code == 0, err
+        assert "NOGO CONFIRMED" in out
+        assert sizes, "no product recorded under the optimizer"
+        assert max(sizes) <= ToricLattice(8).hamiltonian().n_terms()
 
 
 class TestDescribe:

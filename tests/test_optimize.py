@@ -20,14 +20,18 @@ from toricqet.optimize import (
     _lowest,
 )
 from toricqet.protocol import (
+    AXIS_NAMES,
+    OUTCOMES,
     LoccParams,
     StabilizerBackend,
     StatevectorBackend,
     direct_energy,
     energy_after_locc,
     locc_unitary,
+    sigma_poly,
 )
 from toricqet.reports import write_sweep_csv
+from toricqet.statevector import ground_state
 from test_protocol import random_params
 
 
@@ -120,6 +124,68 @@ class TestQuadraticResponse:
             for mi in (0, 2, 4):
                 params = LoccParams(float(thetas[ti]), tuple(float(v) for v in axes[mi]))
                 assert grid[ti, mi] == pytest.approx(resp.delta(params), abs=1e-12)
+
+
+def whole_g_response(system):
+    """forms, w_shared and r_shared through the whole measured-stage operator
+    G_k = M_k H M_k: C_k[i] = <[G_k, sigma^i]>, W_k[i,j] = <sigma^i G_k sigma^j>."""
+    expect = system.backend.expect
+    sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+    h = system.measured_energies
+    c, w = {}, {}
+    for k in OUTCOMES:
+        g = system.m_ops[k].mul(system.hamiltonian).mul(system.m_ops[k])
+        c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
+        w[k] = np.array([[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex)
+    forms = {}
+    for k in OUTCOMES:
+        form = np.zeros((4, 4))
+        form[0, 1:] = form[1:, 0] = k * (1j * c[k]).real / 2.0
+        form[1:, 1:] = (w[k].real + w[k].real.T) / 2.0 - h[k] * np.eye(3)
+        forms[k] = form
+    w_shared = sum(w[k].real for k in OUTCOMES)
+    r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)
+    return forms, w_shared, r_shared
+
+
+def random_toric_systems(L, count, seed):
+    """count random X-string schemes, targets and sectors on L, on both engines."""
+    rng = np.random.default_rng(seed)
+    n = 2 * L * L
+    for _ in range(count):
+        lat = ToricLattice(L, int(rng.integers(n)))
+        edges = [e for e in range(n) if e != lat.bob_qubit and rng.random() < 0.4] or [(lat.bob_qubit + 1) % n]
+        scheme = lat.scheme_from_edges(edges)
+        sector = tuple(int(v) for v in rng.choice((1, -1), size=2))
+        for backend in (StabilizerBackend(lat.ground_group(sector)), StatevectorBackend(ground_state(lat, sector))):
+            yield ProtocolSystem.from_toric(lat, scheme, backend)
+
+
+class TestWholeGReference:
+    """The response tensors from the target's commutator and the operator
+    sandwich are bit-for-bit those of the whole-G_k algebra."""
+
+    @staticmethod
+    def _assert_bytes_equal(system):
+        resp = QuadraticResponse(system)
+        forms, w_shared, r_shared = whole_g_response(system)
+        for k in OUTCOMES:
+            assert resp.forms[k].tobytes() == forms[k].tobytes()
+        assert resp.w_shared.tobytes() == w_shared.tobytes()
+        assert resp.r_shared.tobytes() == r_shared.tobytes()
+
+    @pytest.mark.parametrize("L,seed", [(2, 11), (3, 13)])
+    def test_random_schemes_both_engines(self, L, seed):
+        for system in random_toric_systems(L, 4, seed):
+            self._assert_bytes_equal(system)
+
+    def test_high_edge_stabilizer(self):
+        lat = ToricLattice(8, 127)
+        self._assert_bytes_equal(ProtocolSystem.from_toric(lat, lat.full_region_scheme()))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_six_site_chain(self, axis):
+        self._assert_bytes_equal(protocol_system(build_chain(6, 0.7, 1.3, 2), axis))
 
 
 class TestExactMinimum:
