@@ -253,7 +253,7 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         print(f"sweep table written to {args.out}")
     if args.json_out:
         system, res = best
-        report = direct_energy(system, res.params)
+        report = direct_energy(system, res.witness)
         with open(args.json_out, "w") as fh:
             fh.write(report.to_json() + "\n")
         print(f"argmin report written to {args.json_out}")
@@ -268,8 +268,7 @@ def cmd_control(args: argparse.Namespace) -> int:
     model = build_chain(args.sites, args.coupling, args.field, args.site_a, args.site_b)
     system = protocol_system(model, args.chain_axis)
     res = optimize_system(system, _grid(args), independent=args.independent)
-    locc = res.per_outcome if res.per_outcome is not None else res.params
-    report = direct_energy(system, locc)
+    report = direct_energy(system, res.witness)
     tol = max(CONTROL_EPS, CONTROL_REL_EPS * abs(system.ground_energy))
     if abs(report.delta - res.min_delta) > tol:
         print(f"optimizer ({format_float(res.min_delta)}) and direct evaluation "

@@ -30,6 +30,12 @@ EAST = 0
 SOUTH = 1
 
 
+def check_sector(sector: tuple[int, int]):
+    """Reject a ground sector that is not a pair of +-1 loop signs."""
+    if len(sector) != 2 or any(s not in (1, -1) for s in sector):
+        raise ValueError("sector must be a pair of +-1 loop signs")
+
+
 @dataclass(frozen=True)
 class MeasurementScheme:
     """Support of one X-string measurement on region A.
@@ -152,8 +158,7 @@ class ToricLattice:
         (their full products are identity), plus the two Z loops carrying
         the sector signs.
         """
-        if len(sector) != 2 or any(s not in (1, -1) for s in sector):
-            raise ValueError("sector must be a pair of +-1 loop signs")
+        check_sector(sector)
         gens = list(self.stars()[:-1]) + list(self.plaquettes()[:-1]) + list(self.z_loops())
         signs = [1] * (2 * (self.L * self.L - 1)) + [sector[0], sector[1]]
         return StabilizerGroup(gens, signs)

@@ -86,7 +86,6 @@ class QuadraticResponse:
         self.system = system
         expect = system.backend.expect
         sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
-        self.h: dict[int, float] = dict(system.measured_energies)
         comms = [target_commutator(system, axis) for axis in CANONICAL_AXES]
         c = {k: np.array([expect(system.sandwich(comm, k)) for comm in comms], dtype=complex) for k in OUTCOMES}
         w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
@@ -96,8 +95,6 @@ class QuadraticResponse:
                 product = si.mul(system.hamiltonian).mul(sj)
                 for k in OUTCOMES:
                     w[k][i, j] = expect(system.sandwich(product, k))
-        self.p_plus = expect(system.m_ops[1]).real
-        self.e_a = sum(self.h.values()) - system.ground_energy
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
         self.w_shared = sum(w[k].real for k in OUTCOMES)
         self.r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)
@@ -106,7 +103,7 @@ class QuadraticResponse:
             form = np.zeros((4, 4))
             form[0, 1:] = form[1:, 0] = k * (1j * c[k]).real / 2.0
             quad = w[k].real
-            form[1:, 1:] = (quad + quad.T) / 2.0 - self.h[k] * np.eye(3)
+            form[1:, 1:] = (quad + quad.T) / 2.0 - system.measured_energies[k] * np.eye(3)
             self.forms[k] = form
 
     # -- exact evaluations ---------------------------------------------------
@@ -134,19 +131,22 @@ class QuadraticResponse:
         """Delta on the (theta x axis) grid, theta-major, shape (T, M)."""
         s = np.sin(thetas)
         c = np.cos(thetas)
-        a = np.einsum("mi,ij,mj->m", axes, self.w_shared, axes) - sum(self.h.values())
+        a = np.einsum("mi,ij,mj->m", axes, self.w_shared, axes) - sum(self.system.measured_energies.values())
         b = axes @ self.r_shared
-        return np.outer(s * s, a) + np.outer(s * c, b)
+        deltas = np.outer(s * s, a)
+        deltas += np.outer(s * c, b)  # in place: one fewer grid-sized array at the peak
+        return deltas
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """The exact minimum and witness, and the grid surface behind the sweep CSV:
-    deltas and the torus closed form (on every system) at (thetas[i], axes[j])."""
+    """The exact minimum and its witness (one LoccParams, or {k: LoccParams} for
+    independent rotations; direct_energy takes either), the system's measured
+    stage, and the grid surface behind the sweep CSV: deltas and the torus
+    closed form (on every system) at (thetas[i], axes[j])."""
 
     min_delta: float
-    params: LoccParams
-    per_outcome: Optional[dict]
+    witness: LoccChoice
     grid_min: float
     thetas: np.ndarray
     axes: np.ndarray
@@ -157,16 +157,12 @@ class OptimizeResult:
     zero_theta_attains: bool
 
     def argmin_description(self) -> str:
-        if self.per_outcome is not None:
-            parts = []
-            for k in sorted(self.per_outcome, reverse=True):
-                p = self.per_outcome[k]
-                parts.append(
-                    f"k={k:+d}: theta={p.theta:.9g} axis=({p.axis[0]:.6g},{p.axis[1]:.6g},{p.axis[2]:.6g})"
-                )
-            return "; ".join(parts)
-        p = self.params
-        return f"theta={p.theta:.9g} axis=({p.axis[0]:.6g},{p.axis[1]:.6g},{p.axis[2]:.6g})"
+        def describe(p: LoccParams) -> str:
+            return f"theta={p.theta:.9g} axis=({p.axis[0]:.6g},{p.axis[1]:.6g},{p.axis[2]:.6g})"
+
+        if isinstance(self.witness, LoccParams):
+            return describe(self.witness)
+        return "; ".join(f"k={k:+d}: {describe(self.witness[k])}" for k in sorted(self.witness, reverse=True))
 
 
 def _lowest(form: np.ndarray, noise: float = 0.0) -> tuple[float, LoccParams]:
@@ -194,7 +190,7 @@ def optimize_system(
     axes = grid.axes()
     deltas = resp.sweep(thetas, axes)
     grid_min = float(deltas.min())
-    min_delta, locc = resp.minimum(independent)
+    min_delta, witness = resp.minimum(independent)
     scale = max(1.0, float(np.abs(resp.w_shared).max()))
     if not min_delta <= grid_min + GRID_CHECK_TOL * scale:
         raise AssertionError(f"exact minimum {min_delta!r} lies above the grid minimum {grid_min!r}")
@@ -202,15 +198,14 @@ def optimize_system(
     closed_form = np.outer(4.0 * np.sin(thetas) ** 2, axes[:, 1] ** 2 + axes[:, 2] ** 2)
     return OptimizeResult(
         min_delta=min_delta,
-        params=outcome_params(locc, 1),
-        per_outcome=locc if independent else None,
+        witness=witness,
         grid_min=grid_min,
         thetas=thetas,
         axes=axes,
         deltas=deltas,
         closed_form=closed_form,
-        p_plus=resp.p_plus,
-        e_a=resp.e_a,
+        p_plus=system.probabilities[1],
+        e_a=system.injected_energy,
         zero_theta_attains=min_delta >= 0.0,
     )
 

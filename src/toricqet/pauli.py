@@ -59,23 +59,12 @@ class PauliString:
     @classmethod
     def single(cls, n_qubits: int, qubit: int, axis: str) -> "PauliString":
         """The operator sigma^axis on one qubit (axis in 'x', 'y', 'z')."""
-        if not 0 <= qubit < n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-        bit = 1 << qubit
-        if axis == "x":
-            return cls(n_qubits, bit, 0, 0)
-        if axis == "z":
-            return cls(n_qubits, 0, bit, 0)
-        if axis == "y":
-            # Y = i * XZ in the fixed convention.
-            return cls(n_qubits, bit, bit, 1)
-        raise ValueError(f"unknown Pauli axis {axis!r}")
+        return cls.from_support(n_qubits, (qubit,), axis)
 
     @classmethod
     def from_support(cls, n_qubits: int, qubits: Iterable[int], axis: str) -> "PauliString":
         """Product of sigma^axis over the given qubits (each at most once)."""
         mask = 0
-        count = 0
         for q in qubits:
             if not 0 <= q < n_qubits:
                 raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
@@ -83,13 +72,12 @@ class PauliString:
             if mask & bit:
                 raise ValueError(f"repeated qubit {q} in support")
             mask |= bit
-            count += 1
         if axis == "x":
             return cls(n_qubits, mask, 0, 0)
         if axis == "z":
             return cls(n_qubits, 0, mask, 0)
         if axis == "y":
-            return cls(n_qubits, mask, mask, count)
+            return cls(n_qubits, mask, mask, mask.bit_count())
         raise ValueError(f"unknown Pauli axis {axis!r}")
 
     # -- algebra ---------------------------------------------------------
@@ -116,16 +104,9 @@ class PauliString:
         overlap = (self.x_bits & other.z_bits).bit_count() + (self.z_bits & other.x_bits).bit_count()
         return overlap % 2 == 0
 
-    def adjoint(self) -> "PauliString":
-        ph = (-self.phase_exp + 2 * (self.x_bits & self.z_bits).bit_count()) % 4
-        return PauliString(self.n_qubits, self.x_bits, self.z_bits, ph)
-
     def is_hermitian(self) -> bool:
         """True iff the canonical (Y-explicit) phase is +-1."""
         return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 2 == 0
-
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
 
     def canonical_phase_exp(self) -> int:
         """Exponent e with self = i^e * (tensor of I/X/Y/Z factors)."""
@@ -212,11 +193,6 @@ class PauliPolynomial:
             self.n_qubits, {k: v * factor for k, v in self.terms.items()}
         )
 
-    def __rmul__(self, factor):
-        if isinstance(factor, (int, float, complex)):
-            return self.scale(factor)
-        return NotImplemented
-
     def mul(self, other: "PauliPolynomial") -> "PauliPolynomial":
         """Distributed product with term merging and pruning."""
         if self.n_qubits != other.n_qubits:
@@ -230,13 +206,6 @@ class PauliPolynomial:
                 key = (x1 ^ x2, z1 ^ z2)
                 acc[key] = acc.get(key, 0.0) + c1 * c2 * sign
         return PauliPolynomial._from_raw(self.n_qubits, acc)
-
-    def __mul__(self, other):
-        if isinstance(other, PauliPolynomial):
-            return self.mul(other)
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
 
     def commutator(self, other: "PauliPolynomial") -> "PauliPolynomial":
         return self.mul(other).sub(other.mul(self))

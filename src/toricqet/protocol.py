@@ -9,13 +9,13 @@ Post-measurement quantities use the unnormalized Kraus convention
     E_B = sum_k <xi| M_k U_k^dag H U_k M_k |xi>,
 
 i.e. ensemble averages over outcomes, reported relative to the ground
-energy.  A ProtocolSystem bundles one model's Hamiltonian, measured string
-and ground-state backend; direct_energy evaluates any system with exact
-Pauli-polynomial algebra, so the toric code on either engine and the
-positive-control chain run the identical code path.  Two local facts keep
-that algebra small: M_k = (I + kS)/2 sandwiches a polynomial in one pass
-over its terms, and U_k acts on the target alone, so it changes only the
-Hamiltonian terms there (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>).
+energy.  A ProtocolSystem bundles one model's Hamiltonian, measured string,
+ground-state backend and measured stage (p_k, h_k, E_A, each computed once);
+direct_energy adds the rotation with exact Pauli-polynomial algebra, so the
+toric code on either engine and the chain run the identical code path.
+Two local facts keep that algebra small: M_k = (I + kS)/2 sandwiches a
+polynomial in one pass over its terms, and U_k acts on the target alone
+(E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>, H_t the terms there).
 """
 
 from __future__ import annotations
@@ -152,11 +152,13 @@ def delta_closed_form(params: LoccParams) -> float:
 class ProtocolSystem:
     """One model's protocol, independent of which model produced it.
 
-    Read by both the direct evaluator and the optimizer's response surface.
-    `measured` is the string S whose outcome k gives the Kraus projector
-    M_k = (I + kS)/2; it must not touch the target.  `observables` are the
-    labelled operators of the post-measurement profile; `closed_form` maps
-    parameters to the model's predicted delta, where one is known.  On the
+    Read by both the direct evaluator and the optimizer's response surface,
+    which share its measured stage: `probabilities`, `measured_energies` and
+    `injected_energy`.  `measured` is the string S whose outcome k gives the
+    Kraus projector M_k = (I + kS)/2; it must not touch the target.
+    `observables` are the labelled operators of the post-measurement profile;
+    `closed_form` maps parameters to the model's predicted delta, where one
+    is known.  On the
     torus that is 4 sin^2(theta) (ny^2 + nz^2), derived for an X-string with
     odd overlap with every plaquette at the target: each of them collapses,
     and only the two adjacent stars contribute.
@@ -226,6 +228,16 @@ class ProtocolSystem:
         for the system's life raises the peak memory of a large-torus scan."""
         return {k: self.backend.expect(self.sandwich(self.hamiltonian, k)).real for k in OUTCOMES}
 
+    @property
+    def injected_energy(self) -> float:
+        """E_A = sum_k h_k - E_0, the energy the measurement injects."""
+        return sum(self.measured_energies.values()) - self.ground_energy
+
+    @cached_property
+    def probabilities(self) -> dict[int, float]:
+        """p_k = <M_k>, by outcome."""
+        return {k: self.backend.expect(self.m_ops[k]).real for k in OUTCOMES}
+
     @cached_property
     def target_hamiltonian(self) -> PauliPolynomial:
         """H_t: the Hamiltonian terms that touch the target, the only ones U_k changes."""
@@ -247,8 +259,8 @@ def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
 def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: bool = True) -> EnergyReport:
     """Full direct evaluation of the protocol for one parameter choice.
 
-    E_A reads the system's cached measured-stage energies <G_k>,
-    G_k = M_k H M_k.  The rotation acts on the target alone, so
+    E_A and p_k are the system's cached measured stage (`injected_energy`,
+    `probabilities`).  The rotation acts on the target alone, so
     delta = E_B - E_A is evaluated exactly as
     sum_k <M_k (U_k^dag H_t U_k - H_t) M_k> on the target's terms H_t, and
     E_B = E_A + delta.  No reduced formula (commutator, response
@@ -261,16 +273,16 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
     for k in OUTCOMES:
         u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
         delta += system.backend.expect(system.sandwich(u.adjoint().mul(ham_t).mul(u).sub(ham_t), k)).real
-    p_plus, p_minus = (system.backend.expect(system.m_ops[k]).real for k in OUTCOMES)
-    e_a = sum(system.measured_energies.values()) - system.ground_energy
+    p = system.probabilities
+    e_a = system.injected_energy
     shown = outcome_params(locc, 1)
     return EnergyReport(
         scheme=system.scheme,
         backend=system.backend.name,
         theta=shown.theta,
         axis=shown.axis,
-        p_plus=p_plus,
-        p_minus=p_minus,
+        p_plus=p[1],
+        p_minus=p[-1],
         e_a=e_a,
         e_b=e_a + delta,
         delta=delta,
@@ -284,19 +296,16 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
 # The CLI calls the core directly; these stay while the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 
-# theta = 0 makes U_k the identity; used where only the measured stage is read.
-NO_ROTATION = LoccParams(0.0, (0.0, 0.0, 1.0))
-
-
 def outcome_probabilities(scheme: MeasurementScheme, lat: ToricLattice, backend=None) -> tuple[float, float]:
     """(p_plus, p_minus), each measured as <M_k>."""
-    return energy_injected(scheme, lat, backend)[1:]
+    p = ProtocolSystem.from_toric(lat, scheme, backend).probabilities
+    return p[1], p[-1]
 
 
 def energy_injected(scheme: MeasurementScheme, lat: ToricLattice, backend=None):
     """(E_A relative to ground, p_plus, p_minus) after the measurement."""
-    rep = direct_energy(ProtocolSystem.from_toric(lat, scheme, backend), NO_ROTATION, include_profile=False)
-    return rep.e_a, rep.p_plus, rep.p_minus
+    system = ProtocolSystem.from_toric(lat, scheme, backend)
+    return system.injected_energy, system.probabilities[1], system.probabilities[-1]
 
 
 def excitation_profile(scheme: MeasurementScheme, lat: ToricLattice, backend=None) -> dict[str, float]:

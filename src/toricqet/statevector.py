@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ToricLattice
-from .pauli import PauliPolynomial, PauliString
+from .lattice import ToricLattice, check_sector
+from .pauli import PauliPolynomial
 
 STATE_QUBIT_LIMIT = 20
 DENSE_QUBIT_LIMIT = 16
@@ -118,18 +118,15 @@ def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVe
     dual X loops, then applies the +1 star projectors (1 + A_s)/2.  One star
     projector is redundant because the stars multiply to identity.
     """
-    if len(sector) != 2 or any(s not in (1, -1) for s in sector):
-        raise ValueError("sector must be a pair of +-1 loop signs")
+    check_sector(sector)
     bits = 0
     for flip_edges, sign in zip(lat.x_flip_edges, sector):
         if sign == -1:
             for e in flip_edges:
                 bits ^= 1 << e
     state = StateVector.basis_state(lat.n_qubits, bits)
-    identity = PauliString.identity(lat.n_qubits)
     for star in lat.stars()[:-1]:
-        projector = PauliPolynomial.from_strings(lat.n_qubits, [(identity, 0.5), (star, 0.5)])
-        state = apply_poly(projector, state)
+        state = apply_poly(PauliPolynomial.projector(star, 1), state)
     return state.normalized()
 
 

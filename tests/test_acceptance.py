@@ -80,7 +80,7 @@ def test_criterion_2_optimizer_finds_no_extraction():
         res = optimize_locc(lat, lat.full_region_scheme())
         times.append(time.monotonic() - start)
         mins.append(res.min_delta)
-        zero_ok &= res.zero_theta_attains and res.params.theta == 0.0
+        zero_ok &= res.zero_theta_attains and res.witness.theta == 0.0
     ok = min(mins) >= -1e-10 and zero_ok and max(times) < 60.0
     record(2, ok, f"L=2,3,4 default grid, min delta = {min(mins):.3e} (floor -1e-10), "
                   f"theta=0 attains minimum: {zero_ok}, slowest {max(times):.1f}s (limit 60s)")
@@ -210,7 +210,7 @@ def test_criterion_8_positive_control():
     confirmed by direct evaluation."""
     model = build_chain(2)
     res = optimize_control(model)
-    direct = qet_run(model, res.per_outcome).delta
+    direct = qet_run(model, res.witness).delta
     ok = (
         res.min_delta < -1e-3
         and abs(res.min_delta - GOLDEN_CONTROL_MIN) <= 1e-9

@@ -164,7 +164,7 @@ class TestOptimizeControl:
 
     def test_argmin_structure(self, pair):
         result = optimize_control(pair, GRID)
-        plus, minus = result.per_outcome[1], result.per_outcome[-1]
+        plus, minus = result.witness[1], result.witness[-1]
         # keeping the likely outcome untouched and rotating the rare one wins
         assert plus.theta == pytest.approx(0.0, abs=1e-6)
         assert abs(math.sin(minus.theta)) == pytest.approx(1.0, abs=1e-6)
@@ -172,7 +172,7 @@ class TestOptimizeControl:
 
     def test_optimizer_matches_direct_run(self, pair):
         result = optimize_control(pair, GRID)
-        rep = qet_run(pair, result.per_outcome)
+        rep = qet_run(pair, result.witness)
         assert rep.delta == pytest.approx(result.min_delta, abs=1e-9)
 
     def test_shared_params_find_nothing_here(self, pair):
@@ -191,7 +191,7 @@ class TestOptimizeControl:
         model = build_chain(3, site_b=1)
         result = optimize_control(model, GRID)
         assert result.min_delta < -1e-3
-        rep = qet_run(model, result.per_outcome)
+        rep = qet_run(model, result.witness)
         assert rep.delta == pytest.approx(result.min_delta, abs=1e-9)
 
     def test_distant_site_out_of_reach(self):

@@ -11,7 +11,7 @@ from toricqet import cli, optimize, protocol
 from toricqet.cli import CONFIG_KEYS, entry, main
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial
-from toricqet.protocol import ProtocolSystem
+from toricqet.protocol import LoccParams, ProtocolSystem, direct_energy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +135,21 @@ class TestNogoScan:
         code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--independent", *FAST_GRID)
         assert code == 0
         assert "k=+1" in out and "k=-1" in out
+
+    def test_independent_json_evaluates_the_per_outcome_witness(self, capsys, monkeypatch, tmp_path):
+        # a planted witness that rotates each outcome differently: the JSON
+        # must apply outcome -1's own rotation, not outcome +1's to both
+        witness = {1: LoccParams(0.3, (0.0, 1.0, 0.0)), -1: LoccParams(1.1, (0.0, 0.0, 1.0))}
+        monkeypatch.setattr(optimize.QuadraticResponse, "minimum", lambda self, independent=False: (-1.0, witness))
+        json_path = tmp_path / "argmin.json"
+        code, out, _ = run(capsys, "nogo-scan", "--L", "2", "--independent", *FAST_GRID, "--json", str(json_path))
+        assert code == 1
+        assert "NOGO REFUTED" in out
+        lat = ToricLattice(2)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        want = direct_energy(system, witness).delta
+        assert want != direct_energy(system, witness[1]).delta
+        assert json.loads(json_path.read_text())["delta"] == want
 
     def test_out_of_memory_is_capacity_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

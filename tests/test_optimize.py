@@ -106,13 +106,13 @@ class TestQuadraticResponse:
                 staged = locc_unitary(params, k, lat2.bob_qubit, lat2.n_qubits).mul(m)
                 raw_b += backend.expect(staged.adjoint().mul(ham).mul(staged)).real
             e_b = raw_b - lat2.ground_energy()
-            want = e_b - resp.e_a
+            want = e_b - resp.system.injected_energy
             assert resp.delta(per_outcome) == pytest.approx(want, abs=1e-10)
 
     def test_response_stats(self, lat2):
-        resp = self._response(lat2)
-        assert resp.p_plus == pytest.approx(0.5)
-        assert resp.e_a == pytest.approx(2.0)
+        system = self._response(lat2).system
+        assert system.probabilities[1] == pytest.approx(0.5)
+        assert system.injected_energy == pytest.approx(2.0)
 
     def test_sweep_matches_pointwise(self, lat2):
         resp = self._response(lat2)
@@ -268,7 +268,7 @@ class TestExactMinimum:
         lat = ToricLattice(L, bob_qubit)
         result = optimize_locc(lat, lat.full_region_scheme())
         assert result.min_delta == 0.0
-        assert result.params == LoccParams(0.0, (1.0, 0.0, 0.0))
+        assert result.witness == LoccParams(0.0, (1.0, 0.0, 0.0))
         assert result.zero_theta_attains
 
 
@@ -282,15 +282,14 @@ class TestOptimize:
         assert result.min_delta >= -1e-10
         assert result.min_delta == pytest.approx(0.0, abs=1e-9)
         assert result.zero_theta_attains
-        assert result.params.theta == 0.0
+        assert result.witness.theta == 0.0
         assert result.e_a == pytest.approx(2.0)
 
     def test_independent_outcomes_no_better(self, lat2):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID, independent=True)
         assert result.min_delta >= -1e-10
         assert result.min_delta == pytest.approx(0.0, abs=1e-9)
-        assert result.per_outcome is not None
-        assert set(result.per_outcome) == {1, -1}
+        assert set(result.witness) == {1, -1}
         assert "k=+1" in result.argmin_description()
 
     def test_statevector_backend_agrees(self, lat2, gs2):

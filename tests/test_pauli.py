@@ -102,8 +102,20 @@ class TestPauliString:
         rng = np.random.default_rng(11)
         for _ in range(2_000):
             p = random_string(rng, int(rng.integers(1, 5)))
-            assert np.array_equal(dense_string(p.adjoint()), dense_string(p).conj().T)
-            assert p.is_hermitian() == (p.adjoint() == p)
+            dense = dense_string(p)
+            assert p.is_hermitian() == np.array_equal(dense, dense.conj().T)
+
+    def test_single_is_a_one_qubit_support(self):
+        for n in range(1, 8):
+            for q in range(n):
+                for axis in "xyz":
+                    assert PauliString.single(n, q, axis) == PauliString.from_support(n, (q,), axis)
+        for n, q, axis in ((3, 3, "x"), (3, -1, "z"), (3, 0, "w")):
+            with pytest.raises(ValueError) as single:
+                PauliString.single(n, q, axis)
+            with pytest.raises(ValueError) as support:
+                PauliString.from_support(n, (q,), axis)
+            assert str(single.value) == str(support.value)
 
     def test_from_support_y_phase(self):
         p = PauliString.from_support(3, [0, 2], "y")
@@ -111,9 +123,8 @@ class TestPauliString:
         assert np.array_equal(dense_string(p), oracle)
         assert p.is_hermitian()
 
-    def test_weight_and_label(self):
+    def test_label(self):
         p = PauliString.single(3, 1, "y").mul(PauliString.single(3, 2, "z"))
-        assert p.weight() == 2
         assert p.label() == "+IYZ"
         x = PauliString.single(1, 0, "x")
         z = PauliString.single(1, 0, "z")
@@ -202,11 +213,11 @@ class TestPauliPolynomial:
         assert (x - x).n_terms() == 0
         assert (x - x).is_zero()
 
-    def test_scale_and_rmul(self):
+    def test_scale(self):
         x = PauliPolynomial.from_string(PauliString.single(1, 0, "x"))
-        assert (2.0 * x).coeff(1, 0) == 2.0
+        assert x.scale(2.0).coeff(1, 0) == 2.0
         assert x.scale(0.5).coeff(1, 0) == 0.5
-        assert (x * 3).coeff(1, 0) == 3.0
+        assert x.scale(3).coeff(1, 0) == 3.0
 
     def test_strings_roundtrip(self):
         rng = np.random.default_rng(37)

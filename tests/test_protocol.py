@@ -9,6 +9,7 @@ from conftest import random_hermitian_string
 from toricqet import protocol
 from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
+from toricqet.optimize import GridSpec, optimize_system
 from toricqet.pauli import PauliPolynomial, PauliString
 from toricqet.protocol import (
     OUTCOMES,
@@ -148,6 +149,31 @@ class TestEnergyInjected:
         assert all(
             profile[f"star({r},{c})"] == pytest.approx(1.0) for r in range(2) for c in range(2)
         )
+
+
+class TestMeasuredStageOnce:
+    """The system computes <M_k> once; the optimizer, every direct evaluation
+    and the derivation chain read it instead of querying M_k again."""
+
+    def test_kraus_projectors_queried_once_each(self, lat2, monkeypatch):
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme())
+        kraus = [system.m_ops[k] for k in OUTCOMES]
+        queried = []
+        expect = StabilizerBackend.expect
+
+        def counted(backend, poly):
+            queried.append(any(poly == m for m in kraus))
+            return expect(backend, poly)
+
+        monkeypatch.setattr(StabilizerBackend, "expect", counted)
+        params = LoccParams.from_direction(0.7, (0.0, 1.0, 1.0))
+        optimize_system(system, GridSpec(theta_count=9, sphere_count=8))
+        for _ in range(3):
+            direct_energy(system, params)
+        assert verify_derivation_chain(system, lat2, params).passed
+        assert sum(queried) == 2
+        assert system.probabilities == {1: 0.5, -1: 0.5}
+        assert system.injected_energy == 2.0
 
 
 class TestEnergyAfterLocc:
