@@ -166,9 +166,10 @@ def term_energy_changes(model: ChainModel, locc: LoccChoice, axis: str = "x") ->
     changes: dict[str, float] = {}
     for string, coeff in model.hamiltonian.strings():
         term = PauliPolynomial.from_string(string, coeff)
+        measured = system.sandwich_expectations(term)
         change = 0.0
         for k, op in staged.items():
-            change += expect(op.adjoint().mul(term).mul(op)).real - expect(system.sandwich(term, k)).real
+            change += expect(op.adjoint().mul(term).mul(op)).real - measured[k].real
         support = string.x_bits | string.z_bits
         label = f"term(x={string.x_bits:#x},z={string.z_bits:#x})"
         changes[label] = change

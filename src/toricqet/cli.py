@@ -32,14 +32,13 @@ from .protocol import (
     verify_local_expectations,
     verify_plaquette_collapse,
 )
-from .reports import format_float, write_sweep_csv
+from .reports import ENERGY_REL_EPS, format_float, write_sweep_csv
 from .statevector import CapacityError
 
 NOGO_EPS = 1e-10
-CONTROL_EPS = 1e-9
 # direct_energy forms E_B - E_A from raw energies of size |E_0|, so the control
-# tolerance is max(CONTROL_EPS, CONTROL_REL_EPS * |E_0|).
-CONTROL_REL_EPS = 2.0 ** -40
+# tolerance is max(CONTROL_EPS, ENERGY_REL_EPS * |E_0|).
+CONTROL_EPS = 1e-9
 
 
 # -- parser --------------------------------------------------------------------
@@ -269,7 +268,7 @@ def cmd_control(args: argparse.Namespace) -> int:
     system = protocol_system(model, args.chain_axis)
     res = optimize_system(system, _grid(args), independent=args.independent)
     report = direct_energy(system, res.witness)
-    tol = max(CONTROL_EPS, CONTROL_REL_EPS * abs(system.ground_energy))
+    tol = max(CONTROL_EPS, ENERGY_REL_EPS * abs(system.ground_energy))
     if abs(report.delta - res.min_delta) > tol:
         print(f"optimizer ({format_float(res.min_delta)}) and direct evaluation "
               f"({format_float(report.delta)}) disagree")

@@ -9,7 +9,10 @@ outcome k the response precomputes
     W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (each operator through system.sandwich)
 
 H_t holds the terms on the target, the only ones sigma^i fails to commute
-with; the sigmas commute with M_k, since S never touches the target.  Then,
+with; the sigmas commute with M_k, since S never touches the target.  Both
+outcomes of each of these 13 operators come from one `sandwich_expectations`
+pass, so the response costs one engine lookup per key of the 13 sandwich
+tables (about |H| keys each for H and the 9 W products, a few for C).  Then,
 with the unit 4-vector w = (cos theta, sin theta n),
 
     delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
@@ -84,17 +87,15 @@ class QuadraticResponse:
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
-        expect = system.backend.expect
         sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
-        comms = [target_commutator(system, axis) for axis in CANONICAL_AXES]
-        c = {k: np.array([expect(system.sandwich(comm, k)) for comm in comms], dtype=complex) for k in OUTCOMES}
+        comms = [system.sandwich_expectations(target_commutator(system, axis)) for axis in CANONICAL_AXES]
+        c = {k: np.array([comm[k] for comm in comms], dtype=complex) for k in OUTCOMES}
         w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
         for i, si in enumerate(sigmas):
             for j, sj in enumerate(sigmas):
-                # One whole-H product alive at a time (peak memory), read by both outcomes.
-                product = si.mul(system.hamiltonian).mul(sj)
-                for k in OUTCOMES:
-                    w[k][i, j] = expect(system.sandwich(product, k))
+                # One whole-H product alive at a time (peak memory), both outcomes from one pass.
+                for k, value in system.sandwich_expectations(si.mul(system.hamiltonian).mul(sj)).items():
+                    w[k][i, j] = value
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
         self.w_shared = sum(w[k].real for k in OUTCOMES)
         self.r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)

@@ -20,7 +20,7 @@ multiplication / commutation are word-packed popcounts under the hood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional, Sequence
 
 # Coefficients below this magnitude are dropped from polynomials.  Every
 # exact quantity in this project is an integer or dyadic rational times a
@@ -28,6 +28,11 @@ from typing import Iterable, Mapping
 PRUNE_TOL = 1e-12
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+# One term key of several polynomials that share a key order, with each
+# polynomial's coefficient there (None where it has no such term): the rows
+# an engine's column_expectations reads.
+TermRow = tuple[tuple[int, int], Sequence[Optional[complex]]]
 
 
 def phase_value(phase_exp: int) -> complex:

@@ -16,6 +16,12 @@ toric code on either engine and the chain run the identical code path.
 Two local facts keep that algebra small: M_k = (I + kS)/2 sandwiches a
 polynomial in one pass over its terms, and U_k acts on the target alone
 (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>, H_t the terms there).
+Both outcomes of an operator that does not depend on k share their keys
+(a and S a), so `sandwiches` builds them in one pass with one coefficient
+per outcome, and `sandwich_expectations` hands that table to the backend's
+column kernel: a query costs one engine lookup per key, not one per key and
+outcome.  `sandwich(op, k)` is kept for operators that depend on k and for
+the polynomial identities the checks compare.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .lattice import MeasurementScheme, ToricLattice
-from .pauli import PauliPolynomial, PauliString
+from .pauli import PRUNE_TOL, PauliPolynomial, PauliString, TermRow
 from .reports import EnergyReport
 from .stabilizer import StabilizerGroup
 from . import statevector as sv
@@ -70,7 +76,9 @@ def outcome_params(locc: LoccChoice, k: int) -> LoccParams:
 
 
 # -- ground-state backends ---------------------------------------------------
-# A backend is anything with .name, .exact and .expect(poly) -> complex.
+# A backend is anything with .name, .exact, .expect(poly) -> complex and
+# .expect_columns(rows, width) -> list[complex], the engine's one query kernel
+# (expect is its one-column case).
 
 
 class StabilizerBackend:
@@ -85,6 +93,9 @@ class StabilizerBackend:
     def expect(self, poly: PauliPolynomial) -> complex:
         return self.group.poly_expectation(poly)
 
+    def expect_columns(self, rows: Iterable[TermRow], width: int) -> list[complex]:
+        return self.group.column_expectations(rows, width)
+
 
 class StatevectorBackend:
     """Brute-force oracle expectations over any model's ground state; small systems only."""
@@ -97,6 +108,9 @@ class StatevectorBackend:
 
     def expect(self, poly: PauliPolynomial) -> complex:
         return sv.poly_expectation(poly, self.state)
+
+    def expect_columns(self, rows: Iterable[TermRow], width: int) -> list[complex]:
+        return sv.column_expectations(rows, width, self.state)
 
 
 def make_backends(lat: ToricLattice, which: str, sector: tuple[int, int] = (1, 1)):
@@ -201,32 +215,63 @@ class ProtocolSystem:
         """The Kraus projectors M_k = (I + kS)/2, by outcome."""
         return {k: PauliPolynomial.projector(self.measured, k) for k in OUTCOMES}
 
-    def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
-        """M_k op M_k in one pass over op's terms.
+    def sandwiches(self, op: PauliPolynomial) -> dict[tuple[int, int], list[Optional[complex]]]:
+        """M_k op M_k for both outcomes, in one pass over op's terms.
 
         A term a that anticommutes with S drops out; one that commutes adds
-        (a + k S a)/2.  Keys, key order and coefficients are those of
-        m_ops[k].mul(op).mul(m_ops[k]).
+        (a + k S a)/2.  Both outcomes have the same keys, so each key gets one
+        row holding its coefficient per outcome (OUTCOMES order), None where
+        it falls below PRUNE_TOL.  Column j, read in row order, has the keys,
+        key order and coefficients of m_ops[k].mul(op).mul(m_ops[k]) for
+        k = OUTCOMES[j].
         """
         sx, sz = self.measured.x_bits, self.measured.z_bits
-        m = self.m_ops[k].terms
-        half, shifted = m[(0, 0)], m[(sx, sz)]
-        acc: dict[tuple[int, int], complex] = {}
-        for (x, z), c in op.terms.items():
+        (half_p, shift_p), (half_m, shift_m) = (
+            (self.m_ops[k].terms[(0, 0)], self.m_ops[k].terms[(sx, sz)]) for k in OUTCOMES
+        )
+        rows: dict[tuple[int, int], list] = {}
+        for key, c in op.terms.items():
+            x, z = key
             if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
                 continue
-            acc[(x, z)] = acc.get((x, z), 0.0) + half * c
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0.0, 0.0]
+            row[0] += half_p * c
+            row[1] += half_m * c
             sign = -1.0 if (sz & x).bit_count() & 1 else 1.0
             key = (x ^ sx, z ^ sz)
-            acc[key] = acc.get(key, 0.0) + shifted * c * sign
-        return PauliPolynomial._from_raw(self.n_qubits, acc)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0.0, 0.0]
+            row[0] += shift_p * c * sign
+            row[1] += shift_m * c * sign
+        for row in rows.values():
+            if not abs(row[0]) >= PRUNE_TOL:
+                row[0] = None
+            if not abs(row[1]) >= PRUNE_TOL:
+                row[1] = None
+        return rows
+
+    def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
+        """M_k op M_k for one outcome: the outcome-k column of sandwiches(op),
+        for an op that depends on k or a polynomial identity."""
+        j = OUTCOMES.index(k)
+        return PauliPolynomial(
+            self.n_qubits, {key: row[j] for key, row in self.sandwiches(op).items() if row[j] is not None}
+        )
+
+    def sandwich_expectations(self, op: PauliPolynomial) -> dict[int, complex]:
+        """{k: <M_k op M_k>}: both outcomes from one sandwiches(op) table, each
+        key queried once."""
+        return dict(zip(OUTCOMES, self.backend.expect_columns(self.sandwiches(op).items(), len(OUTCOMES))))
 
     @cached_property
     def measured_energies(self) -> dict[int, float]:
         """h_k = <G_k>, G_k = M_k H M_k, by outcome; their sum is the energy
         after the measurement.  Only the energies are kept: holding both G_k
         for the system's life raises the peak memory of a large-torus scan."""
-        return {k: self.backend.expect(self.sandwich(self.hamiltonian, k)).real for k in OUTCOMES}
+        return {k: h.real for k, h in self.sandwich_expectations(self.hamiltonian).items()}
 
     @property
     def injected_energy(self) -> float:
@@ -249,9 +294,8 @@ class ProtocolSystem:
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
     """sum_k <M_k O M_k> for every labelled observable O of the system."""
-    expect = system.backend.expect
     return {
-        label: sum(expect(system.sandwich(op, k)).real for k in OUTCOMES)
+        label: sum(value.real for value in system.sandwich_expectations(op).values())
         for label, op in system.observables.items()
     }
 
@@ -405,14 +449,15 @@ def verify_local_expectations(system: ProtocolSystem, lat: ToricLattice) -> Chec
     checks.append(
         Check(f"all {3 * lat.n_qubits} single-site expectations vanish", worst <= tol, worst)
     )
-    contrast = backend.expect(PauliPolynomial.from_string(lat.stars()[0])).real
+    contrast = backend.expect(PauliPolynomial.from_string(lat.star(0, 0))).real
     checks.append(Check("contrast: star expectation is one", abs(contrast - 1.0) <= tol, abs(contrast - 1.0)))
     return CheckReport("bare local operators average to zero", tuple(checks))
 
 
-def _adjacent_sum(n_qubits: int, ops: Sequence[PauliString], touching: Sequence[int]) -> PauliPolynomial:
-    """Sum of the stabilizers ops[i] for i in touching."""
-    return PauliPolynomial.from_strings(n_qubits, ((ops[idx], 1.0) for idx in touching))
+def _adjacent_sum(lat: ToricLattice, build: Callable[[int, int], PauliString], touching: Sequence[int]) -> PauliPolynomial:
+    """Sum of the stabilizers build(r, c) at the indices r * L + c in touching;
+    only those are built, not all 2L^2."""
+    return PauliPolynomial.from_strings(lat.n_qubits, ((build(*divmod(idx, lat.L)), 1.0) for idx in touching))
 
 
 def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
@@ -420,20 +465,19 @@ def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport
     between the projectors, have zero ground-state expectation for the
     pairs that appear in the energy difference; the (y,y) pair is kept as
     a nonzero contrast so the zeros are not vacuous."""
-    backend = system.backend
-    tol = _zero_tol(backend)
+    tol = _zero_tol(system.backend)
     n = lat.n_qubits
-    star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(lat.bob_qubit))
+    star_sum = _adjacent_sum(lat, lat.star, lat.stars_touching(lat.bob_qubit))
     checks = []
     for i, j in (("z", "x"), ("x", "y")):
         pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
-        for k in OUTCOMES:
-            val = abs(backend.expect(system.sandwich(pair.mul(star_sum), k)))
+        for k, value in system.sandwich_expectations(pair.mul(star_sum)).items():
+            val = abs(value)
             checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", val <= tol, val))
     contrast = 0.0
     pair_yy = sigma_poly(n, lat.bob_qubit, "y").mul(sigma_poly(n, lat.bob_qubit, "y"))
-    for k in OUTCOMES:
-        contrast += backend.expect(system.sandwich(pair_yy.mul(star_sum), k)).real
+    for value in system.sandwich_expectations(pair_yy.mul(star_sum)).values():
+        contrast += value.real
     checks.append(Check("contrast: (y,y) term is nonzero", abs(contrast) > 0.5, abs(contrast), contrast=True))
     return CheckReport("rotation cross terms vanish", tuple(checks))
 
@@ -458,7 +502,6 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
         energy difference;
     (e) and equals the system's closed form, where it has one.
     """
-    backend = system.backend
     n = lat.n_qubits
     bob = lat.bob_qubit
     ham_t = system.target_hamiltonian
@@ -480,8 +523,8 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
     checks.append(Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst))
 
     # (b) [H, n.sigma] = -2 nx B sx - 2 ny (A+B) sy - 2 nz A sz at the target.
-    star_sum = _adjacent_sum(n, lat.stars(), lat.stars_touching(bob))
-    plaq_sum = _adjacent_sum(n, lat.plaquettes(), lat.plaquettes_touching(bob))
+    star_sum = _adjacent_sum(lat, lat.star, lat.stars_touching(bob))
+    plaq_sum = _adjacent_sum(lat, lat.plaquette, lat.plaquettes_touching(bob))
     expected = (
         plaq_sum.mul(sigma_poly(n, bob, "x")).scale(-2.0 * nx)
         + (star_sum + plaq_sum).mul(sigma_poly(n, bob, "y")).scale(-2.0 * ny)
@@ -492,14 +535,14 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
 
     # (c) sum_k i k (sin 2 theta / 2) <M [H, n.sigma] M> = 0.
     linear = 0.0 + 0.0j
-    for k in OUTCOMES:
-        linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * backend.expect(system.sandwich(comm, k))
+    for k, value in system.sandwich_expectations(comm).items():
+        linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * value
     checks.append(Check("linear rotation term vanishes", abs(linear) <= MATCH_TOL, abs(linear)))
 
     # (d) sin^2(theta) sum_k <M n.sigma [H, n.sigma] M> equals the direct delta.
     quad = 0.0
-    for k in OUTCOMES:
-        quad += (s * s) * backend.expect(system.sandwich(rot_axis.mul(comm), k)).real
+    for value in system.sandwich_expectations(rot_axis.mul(comm)).values():
+        quad += (s * s) * value.real
     report = direct_energy(system, params, include_profile=False)
     resid_d = abs(quad - report.delta)
     checks.append(Check("quadratic term equals direct delta", resid_d <= MATCH_TOL, resid_d))

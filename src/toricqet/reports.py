@@ -27,6 +27,9 @@ SWEEP_COLUMNS = (
 
 PROB_TOL = 1e-10
 ENERGY_FLOOR = -1e-10
+# Energies relative to E_0 are differences of raw sums of size |E_0|, whose
+# rounding is below ENERGY_REL_EPS * |E_0|; a smaller difference is not resolved.
+ENERGY_REL_EPS = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,10 @@ class EnergyReport:
             if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
                 raise ValueError(f"{name} = {p!r} is not a probability")
         if self.e_a < ENERGY_FLOOR:
+            rounding = ENERGY_REL_EPS * abs(self.ground_energy)
+            if -self.e_a <= rounding:
+                raise ValueError(f"e_a = {self.e_a!r} lies within the rounding tolerance {rounding:.3g} "
+                                 f"of |E_0| = {abs(self.ground_energy):.3g}; the measured energy cannot be resolved")
             raise ValueError(f"measurement cannot remove energy: e_a = {self.e_a!r}")
 
     @property

@@ -28,13 +28,19 @@ The arithmetic is exact (GF(2), phases mod 4), so no value depends on the
 anchor.  Concurrent queries stay correct: the anchor is a single tuple,
 read once and replaced in one assignment, and is always a true (v, R(v))
 pair; the rows themselves never change after construction.
+
+Polynomials that share their keys, such as the two Kraus outcomes of one
+operator, are queried together (`column_expectations`): each key is reduced
+once, and its value i^{-e} feeds one total per polynomial, so a query costs
+one reduction per key, however many columns it has.  `poly_expectation` is
+its one-column case.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .pauli import PauliPolynomial, PauliString, phase_value
+from .pauli import PauliPolynomial, PauliString, TermRow, phase_value
 
 
 class StabilizerGroup:
@@ -119,13 +125,23 @@ class StabilizerGroup:
     # -- queries -----------------------------------------------------------
 
     def poly_expectation(self, poly: PauliPolynomial) -> complex:
-        """Exact ground-state expectation of a Pauli polynomial."""
+        """Exact ground-state expectation of a Pauli polynomial: the one-column
+        case of column_expectations."""
         if poly.n_qubits != self.n_qubits:
             raise ValueError("polynomial and group act on different qubit counts")
+        return self.column_expectations(zip(poly.terms, zip(poly.terms.values())), 1)[0]
+
+    def column_expectations(self, rows: Iterable[TermRow], width: int) -> list[complex]:
+        """Exact expectations of `width` polynomials that share one key order.
+
+        `rows` yields (key, coefficients): one coefficient per column, None
+        where that column has no term with the key.  Each key is reduced
+        once, and column j sums its terms in row order.
+        """
         n = self.n_qubits
         mask = self._pivot_mask
-        total = 0.0 + 0.0j
-        for (x, z), coeff in poly.terms.items():
+        totals = [0.0 + 0.0j] * width
+        for (x, z), coeffs in rows:
             v = x | (z << n)
             count = (v & mask).bit_count()
             anchor = self._anchor
@@ -139,8 +155,11 @@ class StabilizerGroup:
             if w != v:
                 continue
             # bare term = i^{-e} * (group element), so <bare> = i^{-e}.
-            total += coeff * phase_value(-e)
-        return total
+            value = phase_value(-e)
+            for j, coeff in enumerate(coeffs):
+                if coeff is not None:
+                    totals[j] += coeff * value
+        return totals
 
 
 def _all_commute(generators: Sequence[PauliString]) -> bool:

@@ -9,19 +9,22 @@ A state holds only its nonzero amplitudes: the ascending basis indices S
 (for the toric ground state, the 2^(L^2-1) basis states of one star-group
 orbit) and their values.  An apply maps S to S XOR x for each term and sums
 the rows term by term; an expectation sums conj(psi[b]) (P psi)[b] over b
-in S, reading psi at b XOR x by binary search in S, and 0 off S.  States
-are still capped by qubit count, and exact diagonalization by a smaller
-dense-matrix limit.
+in S, reading psi at b XOR x by binary search in S, and 0 off S.  Polynomials
+that share their keys (the two Kraus outcomes of one operator) are read
+together: each key costs one gather and one sign pass over S, and feeds one
+accumulator per polynomial.  States are still capped by qubit count, and
+exact diagonalization by a smaller dense-matrix limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .lattice import ToricLattice, check_sector
-from .pauli import PauliPolynomial
+from .pauli import PauliPolynomial, TermRow
 
 STATE_QUBIT_LIMIT = 20
 DENSE_QUBIT_LIMIT = 16
@@ -93,12 +96,22 @@ def apply_poly(poly: PauliPolynomial, state: StateVector) -> StateVector:
 
 
 def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
-    """<psi| sum_k c_k P_k |psi>, read on the support S alone:
-    (P psi)[b] = i^p (-1)^popcount(z & (b XOR x)) psi[b XOR x]."""
+    """<psi| sum_k c_k P_k |psi>: the one-column case of column_expectations."""
     _check_size(poly, state)
+    return column_expectations(zip(poly.terms, zip(poly.terms.values())), 1, state)[0]
+
+
+def column_expectations(rows: Iterable[TermRow], width: int, state: StateVector) -> list[complex]:
+    """<psi| P |psi> for `width` polynomials that share one key order, read on
+    the support S alone: (P psi)[b] = i^p (-1)^popcount(z & (b XOR x)) psi[b XOR x].
+
+    `rows` yields (key, coefficients): one coefficient per column, None where
+    that column has no term with the key.  Each key is gathered and signed
+    once; column j sums its terms into its own row of amplitudes, in row order.
+    """
     s = state.support
-    total = np.zeros(len(s), dtype=np.complex128)
-    for (x, z), coeff in poly.terms.items():
+    totals = [np.zeros(len(s), dtype=np.complex128) for _ in range(width)]
+    for (x, z), coeffs in rows:
         src, vals = s ^ x, state.values
         if x:
             pos = s.searchsorted(src)
@@ -106,8 +119,11 @@ def poly_expectation(poly: PauliPolynomial, state: StateVector) -> complex:
             # a src outside S reads 0; found by xor, not !=, whose comparison
             # loops add 128 KB of numpy code to the chain control's peak RSS
             vals[(s.take(pos, mode="clip") ^ src).astype(bool)] = 0
-        total += coeff * _z_signed(z, src, vals)
-    return complex(np.vdot(state.values, total))
+        signed = _z_signed(z, src, vals)
+        for total, coeff in zip(totals, coeffs):
+            if coeff is not None:
+                total += coeff * signed
+    return [complex(np.vdot(state.values, total)) for total in totals]
 
 
 def ground_state(lat: ToricLattice, sector: tuple[int, int] = (1, 1)) -> StateVector:

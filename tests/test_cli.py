@@ -238,6 +238,16 @@ class TestControl:
         assert err.startswith("error: ") and "cannot be resolved" in err
         assert len(err.splitlines()) == 1
 
+    def test_negative_injected_energy_at_huge_field_blames_rounding(self, capsys):
+        # E_A = sum_k h_k - E_0 reads -1.5e-05 from rounding of order |E_0| = 3e10
+        code, out, err = run(capsys, "control", "--sites", "3", "--coupling", "0.5", "--field", "1e10",
+                             *FAST_GRID)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: e_a = -1.52587890625e-05 lies within the rounding tolerance")
+        assert "of |E_0| = 3e+10; the measured energy cannot be resolved" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [["--sites", "6", "--coupling", "1e308"], ["--field", "1e200"]])
     def test_eigensolver_failure_is_usage_error(self, capsys, argv):
         # residual nan / inf: the run stops with one line, not a traceback

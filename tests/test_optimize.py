@@ -7,6 +7,8 @@ import pytest
 
 from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
+from toricqet.pauli import PauliPolynomial, PauliString
+from toricqet.stabilizer import StabilizerGroup
 from toricqet.optimize import (
     CANONICAL_AXES,
     IDLE,
@@ -29,10 +31,11 @@ from toricqet.protocol import (
     energy_after_locc,
     locc_unitary,
     sigma_poly,
+    target_commutator,
 )
 from toricqet.reports import write_sweep_csv
 from toricqet.statevector import ground_state
-from test_protocol import random_params
+from test_protocol import random_params, random_polynomial
 
 
 class TestGridSpec:
@@ -186,6 +189,97 @@ class TestWholeGReference:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_six_site_chain(self, axis):
         self._assert_bytes_equal(protocol_system(build_chain(6, 0.7, 1.3, 2), axis))
+
+
+def value_bits(value: complex) -> tuple:
+    """The exact bits of a complex value (-0.0 != 0.0)."""
+    return value.real.hex(), value.imag.hex()
+
+
+def response_operators(system):
+    """The operators a QuadraticResponse sandwiches: H, [H_t, sigma^i] and sigma^i H sigma^j."""
+    sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+    return [system.hamiltonian, *(target_commutator(system, axis) for axis in CANONICAL_AXES),
+            *(si.mul(system.hamiltonian).mul(sj) for si in sigmas for sj in sigmas)]
+
+
+class TestBothOutcomesInOnePass:
+    """system.sandwich_expectations(op) builds and queries each key of
+    M_k op M_k once for both outcomes; each value is bit for bit the
+    per-outcome query of the per-outcome sandwich."""
+
+    @staticmethod
+    def _assert_per_outcome(system, op):
+        got = system.sandwich_expectations(op)
+        assert list(got) == list(OUTCOMES)
+        for k in OUTCOMES:
+            m = system.m_ops[k]
+            want = system.backend.expect(system.sandwich(op, k))
+            assert value_bits(got[k]) == value_bits(want)
+            assert value_bits(want) == value_bits(system.backend.expect(m.mul(op).mul(m)))
+
+    def _assert_system(self, system, seed):
+        rng = np.random.default_rng(seed)
+        for op in [*response_operators(system), *system.observables.values(),
+                   random_polynomial(rng, system.measured, 30)]:
+            self._assert_per_outcome(system, op)
+
+    @pytest.mark.parametrize("L,seed", [(2, 191), (3, 193)])
+    def test_random_schemes_both_engines(self, L, seed):
+        for system in random_toric_systems(L, 3, seed):
+            self._assert_system(system, seed)
+
+    def test_high_edge_stabilizer(self):
+        lat = ToricLattice(8, 127)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        for op in response_operators(system):
+            self._assert_per_outcome(system, op)
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_six_site_chain(self, axis):
+        self._assert_system(protocol_system(build_chain(6, 0.7, 1.3, 2), axis), 197)
+
+    def test_key_pruned_for_one_outcome_only(self, lat2, gs2):
+        # op = A + c S A + B/4 with c = -(1 + 2^-44): under M_+ the keys A and
+        # S A sum to -2^-45 < PRUNE_TOL and drop out; under M_- they stay.
+        n = lat2.n_qubits
+        scheme = lat2.full_region_scheme()
+        star = next(PauliString.from_support(n, e, "x") for e in lat2.star_edges if lat2.bob_qubit not in e)
+        plaquette = next(PauliString.from_support(n, e, "z") for e in lat2.plaquette_edges
+                         if lat2.bob_qubit not in e)
+        op = PauliPolynomial.from_strings(
+            n, [(star, 1.0), (scheme.operator().mul(star), -(1.0 + 2.0 ** -44)), (plaquette, 0.25)])
+        for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
+            system = ProtocolSystem.from_toric(lat2, scheme, backend)
+            rows = system.sandwiches(op)
+            assert sum(row[0] is None and row[1] is not None for row in rows.values()) == 2
+            self._assert_per_outcome(system, op)
+            # what is left under M_+ is M_+ B M_+ / 4 = (B + B S) / 8, and <B S> = 0;
+            # the pruned keys would add 2^-45 <A> = 2.8e-14 to it
+            assert system.sandwich_expectations(op)[1] == pytest.approx(0.125, abs=1e-15)
+
+
+class TestOneReductionPerKey:
+    """Each key of the two outcomes' sandwiches is reduced once, not once per outcome."""
+
+    def test_response_at_l8(self, monkeypatch):
+        lat = ToricLattice(8, 127)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        ops = response_operators(system)
+        per_outcome = [set(system.sandwich(op, k).terms) for op in ops for k in OUTCOMES]
+        keys = [plus | minus for plus, minus in zip(per_outcome[::2], per_outcome[1::2])]
+        reduce = StabilizerGroup._reduce
+        calls = []
+
+        def counted(group, v):
+            calls.append(v)
+            return reduce(group, v)
+
+        monkeypatch.setattr(StabilizerGroup, "_reduce", counted)
+        QuadraticResponse(system)
+        assert len(calls) == sum(map(len, keys))
+        # one reduction per key and outcome would be sum(map(len, per_outcome))
+        assert len(calls) <= 0.55 * sum(map(len, per_outcome))
 
 
 class TestExactMinimum:

@@ -56,8 +56,15 @@ class TestEnergyReport:
             make_report(p_plus=-0.1, p_minus=1.1)
 
     def test_rejects_negative_injection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="measurement cannot remove energy"):
             make_report(e_a=-0.5, e_b=0.0, delta=0.5)
+
+    def test_negative_injection_within_rounding_of_ground_energy(self):
+        # at |E_0| = 3e10 one ulp of E_0 is ~4e-6: the sign of e_a is rounding
+        with pytest.raises(ValueError, match="rounding tolerance .* the measured energy cannot be resolved"):
+            make_report(e_a=-1e-6, e_b=0.5, delta=0.5 + 1e-6, ground_energy=-3e10)
+        with pytest.raises(ValueError, match="measurement cannot remove energy"):
+            make_report(e_a=-1.0, e_b=0.5, delta=1.5, ground_energy=-3e10)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
