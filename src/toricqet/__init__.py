@@ -8,8 +8,8 @@ between them is the package's core evidence.
 
 from .pauli import PauliPolynomial, PauliString, phase_value
 from .stabilizer import StabilizerGroup
-from .lattice import MeasurementScheme, ToricLattice
-from .statevector import CapacityError, StateVector, ground_state
+from .lattice import CapacityError, MeasurementScheme, ToricLattice
+from .statevector import StateVector, ground_state
 
 __all__ = [
     "PauliPolynomial",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import build_chain, protocol_system
-from .lattice import MeasurementScheme, ToricLattice
+from .lattice import CapacityError, MeasurementScheme, ToricLattice
 from .optimize import GridSpec, optimize_system
 from .protocol import (
     LoccParams,
@@ -32,8 +32,7 @@ from .protocol import (
     verify_local_expectations,
     verify_plaquette_collapse,
 )
-from .reports import ENERGY_REL_EPS, format_float, write_sweep_csv
-from .statevector import CapacityError
+from .reports import ENERGY_REL_EPS, format_float, write_lines, write_sweep_csv
 
 NOGO_EPS = 1e-10
 # direct_energy forms E_B - E_A from raw energies of size |E_0|, so the control
@@ -125,7 +124,6 @@ def _run_options(parser: argparse.ArgumentParser) -> dict[str, dict[str, argpars
 # A config key is an option's dest; its JSON type follows the option's declaration.
 
 _CONFIG_OPTIONS = _run_options(build_parser())
-CONFIG_KEYS = {key for options in _CONFIG_OPTIONS.values() for key in options}
 
 
 def _is_int(value) -> bool:
@@ -204,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         named = (
-            ("LEMMA1", verify_plaquette_collapse(system, lat, scheme)),
+            ("LEMMA1", verify_plaquette_collapse(system, lat)),
             ("LEMMA2", verify_local_expectations(system, lat)),
             ("LEMMA3", verify_cross_terms(system, lat)),
         )
@@ -239,8 +237,10 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         res = optimize_system(system, grid, independent=args.independent)
         blocks.append((res, backend.name))
+        # row by row: two grid-sized temporaries here would set the scan's peak memory
         deviation = "" if system.closed_form is None else (
-            f"max |delta - closed_form| = {np.abs(res.deltas - res.closed_form).max():.3e}; ")
+            f"max |delta - closed_form| = "
+            f"{max(np.abs(d - c).max() for d, c in zip(res.deltas, res.closed_form)):.3e}; ")
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}; grid min = {format_float(res.grid_min)}; "
               f"{deviation}theta=0 attains minimum: {res.zero_theta_attains}")
@@ -252,9 +252,7 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         print(f"sweep table written to {args.out}")
     if args.json_out:
         system, res = best
-        report = direct_energy(system, res.witness)
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        write_lines(args.json_out, "argmin report", [direct_energy(system, res.witness).to_json()])
         print(f"argmin report written to {args.json_out}")
     if overall_min < -NOGO_EPS:
         print(f"NOGO REFUTED: extraction point found, min delta = {format_float(overall_min)}")
@@ -280,8 +278,7 @@ def cmd_control(args: argparse.Namespace) -> int:
         write_sweep_csv(args.out, [(res, model.label())])
         print(f"sweep table written to {args.out}")
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        write_lines(args.json_out, "control report", [report.to_json()])
         print(f"report written to {args.json_out}")
     if res.min_delta < -tol:
         print(f"CONTROL: QET DETECTED, min delta = {format_float(res.min_delta)} "
@@ -295,8 +292,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     doc = ToricLattice(args.L, bob_qubit=args.bob_qubit).describe()
     text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_lines(args.out, "lattice description", [text])
     else:
         print(text)
     return 0

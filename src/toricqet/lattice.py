@@ -28,6 +28,15 @@ from .stabilizer import StabilizerGroup
 
 EAST = 0
 SOUTH = 1
+# The largest torus, in qubits (L = 160).  The stabilizer echelon holds n
+# rows of 2n bits, about L^4 bytes: ground_group peaks at 0.36 GB RSS at
+# L = 128 and 0.81 GB at L = 160, and a larger L is refused before any
+# geometry is built.
+LATTICE_QUBIT_LIMIT = 2 * 160 * 160
+
+
+class CapacityError(Exception):
+    """Request exceeds a size limit: the torus's, or the brute-force backend's."""
 
 
 def check_sector(sector: tuple[int, int]):
@@ -62,6 +71,8 @@ class ToricLattice:
             raise ValueError("L must be at least 2")
         self.L = int(L)
         self.n_qubits = 2 * L * L
+        if self.n_qubits > LATTICE_QUBIT_LIMIT:
+            raise CapacityError(f"L={L} has {self.n_qubits} qubits, over the lattice limit of {LATTICE_QUBIT_LIMIT}")
         if not 0 <= bob_qubit < self.n_qubits:
             raise ValueError(f"bob_qubit {bob_qubit} out of range for {self.n_qubits} edges")
         self.bob_qubit = int(bob_qubit)

@@ -35,8 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import MeasurementScheme, ToricLattice
-from .protocol import (AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, outcome_params, sigma_poly,
-                       target_commutator)
+from .protocol import AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, sigma_poly, target_commutator
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 # theta = 0 leaves the state untouched: delta = K_00 = 0 exactly.
@@ -107,16 +106,7 @@ class QuadraticResponse:
             form[1:, 1:] = (quad + quad.T) / 2.0 - system.measured_energies[k] * np.eye(3)
             self.forms[k] = form
 
-    # -- exact evaluations ---------------------------------------------------
-
-    def delta(self, locc: LoccChoice) -> float:
-        """sum_k w_k^T K_k w_k for a shared or per-outcome choice."""
-        total = 0.0
-        for k in OUTCOMES:
-            p = outcome_params(locc, k)
-            w = np.array([math.cos(p.theta), *(math.sin(p.theta) * a for a in p.axis)])
-            total += float(w @ self.forms[k] @ w)
-        return total
+    # -- exact minimum -------------------------------------------------------
 
     def minimum(self, independent: bool = False) -> tuple[float, LoccChoice]:
         """The exact minimum of delta over every rotation, and a witness."""

@@ -58,10 +58,6 @@ class PauliString:
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0, 0)
-
-    @classmethod
     def single(cls, n_qubits: int, qubit: int, axis: str) -> "PauliString":
         """The operator sigma^axis on one qubit (axis in 'x', 'y', 'z')."""
         return cls.from_support(n_qubits, (qubit,), axis)
@@ -86,21 +82,6 @@ class PauliString:
         raise ValueError(f"unknown Pauli axis {axis!r}")
 
     # -- algebra ---------------------------------------------------------
-
-    def mul(self, other: "PauliString") -> "PauliString":
-        """Exact product self * other with full phase tracking."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("Pauli strings act on different qubit counts")
-        # Reordering Z^z1 past X^x2 picks up (-1) per overlapping site.
-        phase = self.phase_exp + other.phase_exp + 2 * (self.z_bits & other.x_bits).bit_count()
-        return PauliString(
-            self.n_qubits,
-            self.x_bits ^ other.x_bits,
-            self.z_bits ^ other.z_bits,
-            phase % 4,
-        )
-
-    __mul__ = mul
 
     def commutes(self, other: "PauliString") -> bool:
         """Symplectic test: even overlap of (x, z') and (z, x') parts."""
@@ -225,20 +206,11 @@ class PauliPolynomial:
 
     # -- inspection ------------------------------------------------------
 
-    def coeff(self, x_bits: int, z_bits: int) -> complex:
-        return self.terms.get((x_bits, z_bits), 0.0 + 0.0j)
-
     def n_terms(self) -> int:
         return len(self.terms)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return self.max_abs_coeff() <= tol
-
-    def isclose(self, other: "PauliPolynomial", tol: float = PRUNE_TOL) -> bool:
-        return self.sub(other).is_zero(tol)
 
     def strings(self) -> Iterable[tuple[PauliString, complex]]:
         """Iterate terms as (bare PauliString, coefficient) pairs."""

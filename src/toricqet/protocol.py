@@ -172,10 +172,9 @@ class ProtocolSystem:
     Kraus projector M_k = (I + kS)/2; it must not touch the target.
     `observables` are the labelled operators of the post-measurement profile;
     `closed_form` maps parameters to the model's predicted delta, where one
-    is known.  On the
-    torus that is 4 sin^2(theta) (ny^2 + nz^2), derived for an X-string with
-    odd overlap with every plaquette at the target: each of them collapses,
-    and only the two adjacent stars contribute.
+    is known.  On the torus that is 4 sin^2(theta) (ny^2 + nz^2), derived
+    for an X-string that anticommutes with every plaquette at the target:
+    each of them collapses, and only the two adjacent stars contribute.
     """
 
     n_qubits: int
@@ -195,8 +194,9 @@ class ProtocolSystem:
             for idx, op in enumerate(ops):
                 r, c = divmod(idx, lat.L)
                 observables[f"{kind}({r},{c})"] = PauliPolynomial.from_string(op)
+        measured = scheme.operator()
         collapses = all(
-            len(scheme.edges & set(lat.plaquette_edges[i])) % 2 for i in lat.plaquettes_touching(lat.bob_qubit)
+            not measured.commutes(lat.plaquette(*divmod(i, lat.L))) for i in lat.plaquettes_touching(lat.bob_qubit)
         )
         return cls(
             n_qubits=lat.n_qubits,
@@ -204,7 +204,7 @@ class ProtocolSystem:
             ground_energy=lat.ground_energy(),
             target=lat.bob_qubit,
             backend=backend or StabilizerBackend(lat.ground_group()),
-            measured=scheme.operator(),
+            measured=measured,
             scheme=describe_scheme(scheme, lat),
             observables=observables,
             closed_form=delta_closed_form if collapses else None,
@@ -402,31 +402,28 @@ def _zero_tol(backend) -> float:
     return 0.0 if backend.exact else MATCH_TOL
 
 
-def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice, scheme: MeasurementScheme) -> CheckReport:
+def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
     """Sandwiching a plaquette between the Kraus projectors either kills it
-    (odd shared support with the measured string) or passes it through
-    (even shared support).  Checked as exact polynomial identities and as
-    backend expectations, for every plaquette and both outcomes.  `scheme`
-    is the measurement the system was built from; its edges predict the
-    case."""
+    (it anticommutes with the measured string) or passes it through (it
+    commutes).  Checked as exact polynomial identities and as backend
+    expectations, for every plaquette and both outcomes."""
     backend = system.backend
     checks = []
-    support = scheme.edges
-    for idx, (edges, plaquette) in enumerate(zip(lat.plaquette_edges, lat.plaquettes())):
-        overlap_odd = len(support & set(edges)) % 2 == 1
+    for idx, plaquette in enumerate(lat.plaquettes()):
+        collapses = not system.measured.commutes(plaquette)
         b_poly = PauliPolynomial.from_string(plaquette)
         r, c = divmod(idx, lat.L)
         for k, m in system.m_ops.items():
             left = m.mul(b_poly)
             sandwich = left.mul(m)
-            if overlap_odd:
+            if collapses:
                 resid = sandwich.max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} collapses"
             else:
                 resid = sandwich.sub(left).max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} passes through"
             checks.append(Check(label, resid <= IDENTITY_TOL, resid))
-            want = 0.0 if overlap_odd else backend.expect(left).real
+            want = 0.0 if collapses else backend.expect(left).real
             got = backend.expect(sandwich).real
             resid_e = abs(got - want)
             checks.append(

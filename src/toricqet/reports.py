@@ -123,11 +123,17 @@ def sweep_csv_lines(blocks: Iterable[tuple]):
                 yield f"{head},{axis},{shared},{format_float(e)},{format_float(d)},{format_float(c)},{backend}"
 
 
-def write_sweep_csv(path: str, blocks: Iterable[tuple]):
-    """Write (surface, backend tag) blocks as one table under a single header."""
+def write_lines(path: str, artifact: str, lines: Iterable[str]):
+    """Write each line and a newline to path; every CLI artifact goes through
+    here, so a failed write reads "cannot write <artifact> to <path>: <reason>"."""
     try:
         with open(path, "w") as fh:
-            for line in sweep_csv_lines(blocks):
+            for line in lines:
                 fh.write(line + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
+        raise OSError(f"cannot write {artifact} to {path}: {exc.strerror or exc}") from exc
+
+
+def write_sweep_csv(path: str, blocks: Iterable[tuple]):
+    """Write (surface, backend tag) blocks as one table under a single header."""
+    write_lines(path, "sweep table", sweep_csv_lines(blocks))

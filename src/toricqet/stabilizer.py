@@ -25,9 +25,7 @@ group therefore keeps one anchor, a (key, R(key)) pair: a key whose
 difference from the anchor has fewer pivot bits is reduced as
 R(anchor) R(key ^ anchor), so X_A is reduced once instead of once per term.
 The arithmetic is exact (GF(2), phases mod 4), so no value depends on the
-anchor.  Concurrent queries stay correct: the anchor is a single tuple,
-read once and replaced in one assignment, and is always a true (v, R(v))
-pair; the rows themselves never change after construction.
+anchor.
 
 Polynomials that share their keys, such as the two Kraus outcomes of one
 operator, are queried together (`column_expectations`): each key is reduced

@@ -23,15 +23,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import ToricLattice, check_sector
+from .lattice import CapacityError, ToricLattice, check_sector
 from .pauli import PauliPolynomial, TermRow
 
 STATE_QUBIT_LIMIT = 20
 DENSE_QUBIT_LIMIT = 16
-
-
-class CapacityError(Exception):
-    """Request exceeds the brute-force backend's qubit limits."""
 
 
 def _check_state_capacity(n_qubits: int):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toricqet.lattice import ToricLattice
-from toricqet.pauli import PauliPolynomial, PauliString, phase_value
+from toricqet.pauli import PRUNE_TOL, PauliPolynomial, PauliString, phase_value
 from toricqet.statevector import StateVector, ground_state
 
 I2 = np.eye(2, dtype=complex)
@@ -37,6 +37,21 @@ def dense_state(state: StateVector) -> np.ndarray:
     out = np.zeros(1 << state.n_qubits, dtype=np.complex128)
     out[state.support] = state.values
     return out
+
+
+def string_product(*strings: PauliString) -> PauliString:
+    """The product of the strings, read back from PauliPolynomial.mul: a
+    product of strings is one term whose coefficient is a power of i."""
+    acc = PauliPolynomial.identity(strings[0].n_qubits)
+    for string in strings:
+        acc = acc.mul(PauliPolynomial.from_string(string))
+    ((x, z), c), = acc.terms.items()
+    return PauliString(acc.n_qubits, x, z, [phase_value(e) for e in range(4)].index(c))
+
+
+def poly_close(a: PauliPolynomial, b: PauliPolynomial, tol: float = PRUNE_TOL) -> bool:
+    """True iff a and b agree term by term within tol."""
+    return a.sub(b).max_abs_coeff() <= tol
 
 
 def random_string(rng, n: int) -> PauliString:

@@ -100,7 +100,7 @@ def test_criterion_3_structural_checks_exhaustive():
         for backend in make_backends(lat, which):
             system = ProtocolSystem.from_toric(lat, scheme, backend)
             reports = (
-                verify_plaquette_collapse(system, lat, scheme),
+                verify_plaquette_collapse(system, lat),
                 verify_local_expectations(system, lat),
                 verify_cross_terms(system, lat),
             )

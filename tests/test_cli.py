@@ -1,14 +1,18 @@
 """End-to-end command-line behavior: output lines, files, exit codes."""
 
 import argparse
+import errno
 import hashlib
 import json
+import os
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from toricqet import cli, optimize, protocol
-from toricqet.cli import CONFIG_KEYS, entry, main
+from toricqet.cli import entry, main
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial
 from toricqet.protocol import LoccParams, ProtocolSystem, direct_energy
@@ -303,6 +307,25 @@ class TestGoldenArtifacts:
         want = golden_digests()["verify-L4-bob5-samples0.txt"]
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
+    # A one-edge measurement: only the plaquettes on edge 3 collapse, the
+    # others pass through the projectors, and no closed form applies.
+    ONE_EDGE = ["--L", "3", "--bob-qubit", "8", "--edges", "3"]
+
+    def test_verify_stdout_pass_through(self, capsys):
+        code, out, _ = run(capsys, "verify", *self.ONE_EDGE, "--samples", "0")
+        assert code == 0
+        assert out.startswith("LEMMA1 PASS [stabilizer] plaquette collapse rule: 36 checks")
+        want = golden_digests()["verify-L3-bob8-edges3-samples0.txt"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_nogo_scan_json_pass_through(self, capsys, tmp_path):
+        json_path = tmp_path / "argmin.json"
+        code, _, _ = run(capsys, "nogo-scan", *self.ONE_EDGE, "--json", str(json_path))
+        assert code == 0
+        assert json.loads(json_path.read_text())["closed_form"] is None
+        want = golden_digests()["nogo-scan-L3-bob8-edges3.json"]
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == want
+
 
 def count_calls(monkeypatch, owner, name) -> list:
     """Wrap owner.name; the returned list gets the result of each call."""
@@ -405,6 +428,10 @@ def subcommand_options() -> dict:
     """Subcommand -> the dests of its options."""
     action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {a.dest for a in p._actions} for name, p in action.choices.items()}
+
+
+# every config key: an option's dest, --help and --config left out
+CONFIG_KEYS = set().union(*subcommand_options().values()) - {"help", "config"}
 
 
 def command_taking(key: str) -> str:
@@ -540,6 +567,32 @@ class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_oversized_lattice_is_capacity_error(self, capsys):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code = main(["describe", "--L", "100000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("capacity error: ") and len(err.splitlines()) == 1
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv,artifact", [
+        (["nogo-scan", "--L", "2", *FAST_GRID, "--json"], "argmin report"),
+        (["nogo-scan", "--L", "2", *FAST_GRID, "--out"], "sweep table"),
+        (["control", "--sites", "2", *FAST_GRID, "--json"], "control report"),
+        (["control", "--sites", "2", *FAST_GRID, "--out"], "sweep table"),
+        (["describe", "--L", "2", "--out"], "lattice description"),
+    ])
+    def test_failed_write_is_one_error_line(self, capsys, tmp_path, argv, artifact):
+        path = tmp_path / "missing" / "artifact"
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert err == f"error: cannot write {artifact} to {path}: {os.strerror(errno.ENOENT)}\n"
 
     def test_bad_sector_values(self, capsys):
         code, _, err = run(capsys, "verify", "--L", "2", "--sector", "1", "2")

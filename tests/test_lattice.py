@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import poly_close, string_product
 
-from toricqet.lattice import EAST, SOUTH, ToricLattice
+from toricqet import statevector
+from toricqet.lattice import EAST, LATTICE_QUBIT_LIMIT, SOUTH, CapacityError, ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
 
 
@@ -47,19 +49,19 @@ class TestIndexing:
         with pytest.raises(ValueError):
             ToricLattice(2).edge_index(0, 0, 2)
 
+    def test_size_limit(self):
+        assert ToricLattice(160).n_qubits == LATTICE_QUBIT_LIMIT
+        with pytest.raises(CapacityError, match="51842 qubits"):
+            ToricLattice(161)
+        assert statevector.CapacityError is CapacityError
+
 
 class TestOperators:
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_stars_multiply_to_identity(self, L):
         lat = ToricLattice(L)
-        acc = PauliString.identity(lat.n_qubits)
-        for s in lat.stars():
-            acc = acc.mul(s)
-        assert acc == PauliString.identity(lat.n_qubits)
-        acc = PauliString.identity(lat.n_qubits)
-        for p in lat.plaquettes():
-            acc = acc.mul(p)
-        assert acc == PauliString.identity(lat.n_qubits)
+        assert string_product(*lat.stars()) == PauliString(lat.n_qubits, 0, 0)
+        assert string_product(*lat.plaquettes()) == PauliString(lat.n_qubits, 0, 0)
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_all_terms_commute(self, L):
@@ -133,8 +135,8 @@ class TestSchemes:
         plus = scheme.kraus(1)
         minus = scheme.kraus(-1)
         ident = plus + minus
-        assert ident.n_terms() == 1 and ident.coeff(0, 0) == 1.0
-        assert plus.mul(plus).isclose(plus)
+        assert ident.terms == {(0, 0): 1.0}
+        assert poly_close(plus.mul(plus), plus)
         with pytest.raises(ValueError):
             scheme.kraus(0)
 

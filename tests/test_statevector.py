@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_poly, dense_state, dense_string, random_string
+from conftest import dense_poly, dense_state, dense_string, random_string, string_product
 
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString
@@ -135,10 +135,9 @@ class TestSupportKernel:
         stabilizers = list(lat.stars()) + list(lat.plaquettes()) + list(lat.z_loops())
         products = []
         for _ in range(10):
-            prod = PauliString.identity(lat.n_qubits)
-            for i in rng.choice(len(stabilizers), size=3):
-                prod = prod.mul(stabilizers[i])
-            products.append(prod.mul(PauliString.single(lat.n_qubits, int(rng.integers(lat.n_qubits)), "y")))
+            prod = string_product(*(stabilizers[i] for i in rng.choice(len(stabilizers), size=3)))
+            y = PauliString.single(lat.n_qubits, int(rng.integers(lat.n_qubits)), "y")
+            products.append(string_product(prod, y))
             products.append(prod)
         strings = stabilizers + products + [random_string(rng, lat.n_qubits) for _ in range(10)]
         self.check(rng, state, strings)
@@ -165,14 +164,14 @@ class TestSupportKernel:
             assert np.allclose(dense_state(apply_poly(poly, state)), want, atol=1e-12)
 
     def test_cancelled_rows_leave_the_support(self):
-        ident, flip = PauliString.identity(3), PauliString.single(3, 0, "x")
+        ident, flip = PauliString(3, 0, 0), PauliString.single(3, 0, "x")
         plus = PauliPolynomial.from_strings(3, [(ident, 0.5), (flip, 0.5)])
         minus = PauliPolynomial.from_strings(3, [(ident, 0.5), (flip, -0.5)])
         state = apply_poly(minus, apply_poly(plus, StateVector.basis_state(3, 0b101)))
         assert len(state.support) == len(state.values) == 0
         assert state.norm() == 0.0
         rng = np.random.default_rng(97)
-        for p in [PauliString.identity(3)] + [random_string(rng, 3) for _ in range(20)]:
+        for p in [ident] + [random_string(rng, 3) for _ in range(20)]:
             assert poly_expectation(PauliPolynomial.from_string(p), state) == 0
         assert len(apply_poly(plus, state).support) == 0
 
