@@ -326,6 +326,26 @@ class TestGoldenArtifacts:
         want = golden_digests()["nogo-scan-L3-bob8-edges3.json"]
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == want
 
+    # The statevector engine's post-measurement profiles: the chain's term
+    # labels, and the torus stars and plaquettes read off the oracle.
+
+    def test_control_json_profile(self, capsys, tmp_path):
+        json_path = tmp_path / "control.json"
+        code, _, _ = run(capsys, "control", "--sites", "2", "--json", str(json_path))
+        assert code == 0
+        assert list(json.loads(json_path.read_text())["stabilizer_expectations"]) == ["zz(0,1)", "x(0)", "x(1)"]
+        want = golden_digests()["control-sites2.json"]
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == want
+
+    def test_nogo_scan_statevector_json_profile(self, capsys, tmp_path):
+        json_path = tmp_path / "argmin.json"
+        code, _, _ = run(capsys, "nogo-scan", "--L", "3", "--backend", "statevector", "--bob-qubit", "5",
+                         "--json", str(json_path))
+        assert code == 0
+        assert len(json.loads(json_path.read_text())["stabilizer_expectations"]) == 18
+        want = golden_digests()["nogo-scan-L3-statevector-bob5.json"]
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == want
+
 
 def count_calls(monkeypatch, owner, name) -> list:
     """Wrap owner.name; the returned list gets the result of each call."""
