@@ -115,19 +115,20 @@ def measurement_projectors(model: ChainModel, axis: str = "x") -> dict[int, Paul
     return {k: PauliPolynomial.projector(measured, k) for k in OUTCOMES}
 
 
+def _term_label(key: tuple[int, int]) -> str:
+    """x(i) or zz(i,i+1), for the key of a chain_hamiltonian term."""
+    x, z = key
+    i = ((x | z) & -(x | z)).bit_length() - 1
+    return f"x({i})" if x else f"zz({i},{i + 1})"
+
+
 def protocol_system(model: ChainModel, axis: str = "x") -> ProtocolSystem:
     """The chain protocol: sigma^axis on site_a measured, site_b rotated.
 
-    The profile observables are the bare Hamiltonian term operators; the
-    chain has no closed form for delta.
+    Its term labels, zz(i,i+1) then x(i), follow the Hamiltonian's terms (a
+    zero coupling or field drops its terms and labels); the chain has no closed form for delta.
     """
     n = model.n_qubits
-    observables = {
-        f"zz({i},{i + 1})": PauliPolynomial.from_string(PauliString.from_support(n, [i, i + 1], "z"))
-        for i in range(n - 1)
-    }
-    for i in range(n):
-        observables[f"x({i})"] = PauliPolynomial.from_string(PauliString.single(n, i, "x"))
     return ProtocolSystem(
         n_qubits=n,
         hamiltonian=model.hamiltonian,
@@ -136,7 +137,7 @@ def protocol_system(model: ChainModel, axis: str = "x") -> ProtocolSystem:
         backend=StatevectorBackend(model.ground),
         measured=PauliString.single(n, model.site_a, axis),
         scheme=f"sigma^{axis} measurement on site {model.site_a} of {model.label()}",
-        observables=observables,
+        term_labels=tuple(map(_term_label, model.hamiltonian.terms)),
     )
 
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .protocol import (
     ProtocolSystem,
     direct_energy,
     make_backends,
+    post_measurement_profile,
     verify_cross_terms,
     verify_derivation_chain,
     verify_local_expectations,
@@ -236,14 +238,14 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         res = optimize_system(system, grid, independent=args.independent)
-        blocks.append((res, backend.name))
+        blocks.append((system, res, backend.name))
         # row by row: two grid-sized temporaries here would set the scan's peak memory
         deviation = "" if system.closed_form is None else (
             f"max |delta - closed_form| = "
-            f"{max(np.abs(d - c).max() for d, c in zip(res.deltas, res.closed_form)):.3e}; ")
+            f"{max(np.abs(d - c).max() for d, c in zip(res.deltas, res.closed_form_rows())):.3e}; ")
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}; grid min = {format_float(res.grid_min)}; "
-              f"{deviation}theta=0 attains minimum: {res.zero_theta_attains}")
+              f"{deviation}theta=0 attains minimum: {res.min_delta >= 0.0}")
         if res.min_delta < overall_min:
             overall_min = res.min_delta
             best = (system, res)
@@ -252,7 +254,8 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         print(f"sweep table written to {args.out}")
     if args.json_out:
         system, res = best
-        write_lines(args.json_out, "argmin report", [direct_energy(system, res.witness).to_json()])
+        report = replace(direct_energy(system, res.witness), stabilizer_expectations=post_measurement_profile(system))
+        write_lines(args.json_out, "argmin report", [report.to_json()])
         print(f"argmin report written to {args.json_out}")
     if overall_min < -NOGO_EPS:
         print(f"NOGO REFUTED: extraction point found, min delta = {format_float(overall_min)}")
@@ -275,9 +278,10 @@ def cmd_control(args: argparse.Namespace) -> int:
         raise ValueError(f"min delta = {format_float(res.min_delta)} lies within the rounding tolerance "
                          f"{tol:.3g} of |E_0| = {abs(system.ground_energy):.3g}; extraction cannot be resolved")
     if args.out:
-        write_sweep_csv(args.out, [(res, model.label())])
+        write_sweep_csv(args.out, [(system, res, model.label())])
         print(f"sweep table written to {args.out}")
     if args.json_out:
+        report = replace(report, stabilizer_expectations=post_measurement_profile(system))
         write_lines(args.json_out, "control report", [report.to_json()])
         print(f"report written to {args.json_out}")
     if res.min_delta < -tol:

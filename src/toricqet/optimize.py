@@ -132,9 +132,8 @@ class QuadraticResponse:
 @dataclass(frozen=True)
 class OptimizeResult:
     """The exact minimum and its witness (one LoccParams, or {k: LoccParams} for
-    independent rotations; direct_energy takes either), the system's measured
-    stage, and the grid surface behind the sweep CSV: deltas and the torus
-    closed form (on every system) at (thetas[i], axes[j])."""
+    independent rotations; direct_energy takes either), and the grid surface
+    behind the sweep CSV: deltas at (thetas[i], axes[j])."""
 
     min_delta: float
     witness: LoccChoice
@@ -142,10 +141,12 @@ class OptimizeResult:
     thetas: np.ndarray
     axes: np.ndarray
     deltas: np.ndarray
-    closed_form: np.ndarray
-    p_plus: float
-    e_a: float
-    zero_theta_attains: bool
+
+    def closed_form_rows(self):
+        """The torus closed form 4 sin^2(theta) (ny^2 + nz^2), one theta row of the grid at a time."""
+        weights = self.axes[:, 1] ** 2 + self.axes[:, 2] ** 2
+        for scale in 4.0 * np.sin(self.thetas) ** 2:
+            yield scale * weights
 
     def argmin_description(self) -> str:
         def describe(p: LoccParams) -> str:
@@ -185,20 +186,7 @@ def optimize_system(
     scale = max(1.0, float(np.abs(resp.w_shared).max()))
     if not min_delta <= grid_min + GRID_CHECK_TOL * scale:
         raise AssertionError(f"exact minimum {min_delta!r} lies above the grid minimum {grid_min!r}")
-
-    closed_form = np.outer(4.0 * np.sin(thetas) ** 2, axes[:, 1] ** 2 + axes[:, 2] ** 2)
-    return OptimizeResult(
-        min_delta=min_delta,
-        witness=witness,
-        grid_min=grid_min,
-        thetas=thetas,
-        axes=axes,
-        deltas=deltas,
-        closed_form=closed_form,
-        p_plus=system.probabilities[1],
-        e_a=system.injected_energy,
-        zero_theta_attains=min_delta >= 0.0,
-    )
+    return OptimizeResult(min_delta, witness, grid_min, thetas, axes, deltas)
 
 
 def optimize_locc(

@@ -170,7 +170,7 @@ class ProtocolSystem:
     which share its measured stage: `probabilities`, `measured_energies` and
     `injected_energy`.  `measured` is the string S whose outcome k gives the
     Kraus projector M_k = (I + kS)/2; it must not touch the target.
-    `observables` are the labelled operators of the post-measurement profile;
+    `term_labels` names the terms of `hamiltonian` in key order, for the profile;
     `closed_form` maps parameters to the model's predicted delta, where one
     is known.  On the torus that is 4 sin^2(theta) (ny^2 + nz^2), derived
     for an X-string that anticommutes with every plaquette at the target:
@@ -184,16 +184,11 @@ class ProtocolSystem:
     backend: object
     measured: PauliString
     scheme: str
-    observables: Mapping[str, PauliPolynomial]
+    term_labels: tuple[str, ...]
     closed_form: Optional[Callable[[LoccParams], float]] = None
 
     @classmethod
     def from_toric(cls, lat: ToricLattice, scheme: MeasurementScheme, backend=None) -> "ProtocolSystem":
-        observables = {}
-        for kind, ops in (("star", lat.stars()), ("plaquette", lat.plaquettes())):
-            for idx, op in enumerate(ops):
-                r, c = divmod(idx, lat.L)
-                observables[f"{kind}({r},{c})"] = PauliPolynomial.from_string(op)
         measured = scheme.operator()
         collapses = all(
             not measured.commutes(lat.plaquette(*divmod(i, lat.L))) for i in lat.plaquettes_touching(lat.bob_qubit)
@@ -206,7 +201,8 @@ class ProtocolSystem:
             backend=backend or StabilizerBackend(lat.ground_group()),
             measured=measured,
             scheme=describe_scheme(scheme, lat),
-            observables=observables,
+            term_labels=tuple(f"{kind}({r},{c})" for kind in ("star", "plaquette")
+                              for r in range(lat.L) for c in range(lat.L)),
             closed_form=delta_closed_form if collapses else None,
         )
 
@@ -293,14 +289,15 @@ class ProtocolSystem:
 
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
-    """sum_k <M_k O M_k> for every labelled observable O of the system."""
+    """sum_k <M_k O M_k> per labelled Hamiltonian term O; unmatched labels raise ValueError."""
+    n = system.n_qubits
     return {
-        label: sum(value.real for value in system.sandwich_expectations(op).values())
-        for label, op in system.observables.items()
+        label: sum(v.real for v in system.sandwich_expectations(PauliPolynomial(n, {key: 1 + 0j})).values())
+        for label, key in zip(system.term_labels, system.hamiltonian.terms, strict=True)
     }
 
 
-def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: bool = True) -> EnergyReport:
+def direct_energy(system: ProtocolSystem, locc: LoccChoice) -> EnergyReport:
     """Full direct evaluation of the protocol for one parameter choice.
 
     E_A and p_k are the system's cached measured stage (`injected_energy`,
@@ -310,7 +307,8 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
     E_B = E_A + delta.  No reduced formula (commutator, response
     tensor or closed form) is used, so this is the reference path the
     optimizer's fast path is tested against.  A per-outcome `locc` is
-    reported through its outcome +1 parameters.
+    reported through its outcome +1 parameters.  The report's profile is
+    empty; a JSON report attaches post_measurement_profile(system).
     """
     ham_t = system.target_hamiltonian
     delta = 0.0
@@ -332,7 +330,6 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice, include_profile: boo
         delta=delta,
         closed_form=None if system.closed_form is None else system.closed_form(shown),
         ground_energy=system.ground_energy,
-        stabilizer_expectations=post_measurement_profile(system) if include_profile else {},
     )
 
 
@@ -357,15 +354,9 @@ def excitation_profile(scheme: MeasurementScheme, lat: ToricLattice, backend=Non
     return post_measurement_profile(ProtocolSystem.from_toric(lat, scheme, backend))
 
 
-def energy_after_locc(
-    scheme: MeasurementScheme,
-    params: LoccParams,
-    lat: ToricLattice,
-    backend=None,
-    include_profile: bool = True,
-) -> EnergyReport:
+def energy_after_locc(scheme: MeasurementScheme, params: LoccParams, lat: ToricLattice, backend=None) -> EnergyReport:
     """direct_energy for one toric parameter point."""
-    return direct_energy(ProtocolSystem.from_toric(lat, scheme, backend), params, include_profile)
+    return direct_energy(ProtocolSystem.from_toric(lat, scheme, backend), params)
 
 
 def describe_scheme(scheme: MeasurementScheme, lat: ToricLattice) -> str:
@@ -540,7 +531,7 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
     quad = 0.0
     for value in system.sandwich_expectations(rot_axis.mul(comm)).values():
         quad += (s * s) * value.real
-    report = direct_energy(system, params, include_profile=False)
+    report = direct_energy(system, params)
     resid_d = abs(quad - report.delta)
     checks.append(Check("quadratic term equals direct delta", resid_d <= MATCH_TOL, resid_d))
 

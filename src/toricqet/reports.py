@@ -110,16 +110,18 @@ def format_float(x: float) -> str:
 
 
 def sweep_csv_lines(blocks: Iterable[tuple]):
-    """Yield the header, then one line per grid point of each (surface, backend
-    tag) block, theta-major; a surface is an ``optimize.OptimizeResult``.  Only
-    E_B, delta and closed_form are formatted per row, the rest once."""
+    """Yield the header, then one line per grid point of each (system, surface,
+    backend tag) block, theta-major: p_plus and E_A from a ``ProtocolSystem``,
+    the rest from an ``OptimizeResult``.  Only E_B, delta and closed_form are
+    formatted per row, the rest once."""
     yield ",".join(SWEEP_COLUMNS)
-    for surface, backend in blocks:
+    for system, surface, backend in blocks:
+        e_a = system.injected_energy
         axes = [",".join(map(format_float, axis)) for axis in surface.axes.tolist()]
-        shared = f"{format_float(float(surface.p_plus))},{format_float(float(surface.e_a))}"
-        for theta, deltas, closed in zip(surface.thetas.tolist(), surface.deltas, surface.closed_form):
+        shared = f"{format_float(float(system.probabilities[1]))},{format_float(float(e_a))}"
+        for theta, deltas, closed in zip(surface.thetas.tolist(), surface.deltas, surface.closed_form_rows()):
             head = format_float(theta)
-            for axis, e, d, c in zip(axes, (surface.e_a + deltas).tolist(), deltas.tolist(), closed.tolist()):
+            for axis, e, d, c in zip(axes, (e_a + deltas).tolist(), deltas.tolist(), closed.tolist()):
                 yield f"{head},{axis},{shared},{format_float(e)},{format_float(d)},{format_float(c)},{backend}"
 
 
@@ -135,5 +137,5 @@ def write_lines(path: str, artifact: str, lines: Iterable[str]):
 
 
 def write_sweep_csv(path: str, blocks: Iterable[tuple]):
-    """Write (surface, backend tag) blocks as one table under a single header."""
+    """Write (system, surface, backend tag) blocks as one table under a single header."""
     write_lines(path, "sweep table", sweep_csv_lines(blocks))

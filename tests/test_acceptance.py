@@ -61,7 +61,7 @@ def test_criterion_1_closed_form_both_backends(lat2, gs2):
     worst = 0.0
     for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
         for p in params:
-            rep = energy_after_locc(scheme, p, lat2, backend, include_profile=False)
+            rep = energy_after_locc(scheme, p, lat2, backend)
             worst = max(worst, abs(rep.delta - delta_closed_form(p)))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -80,7 +80,7 @@ def test_criterion_2_optimizer_finds_no_extraction():
         res = optimize_locc(lat, lat.full_region_scheme())
         times.append(time.monotonic() - start)
         mins.append(res.min_delta)
-        zero_ok &= res.zero_theta_attains and res.witness.theta == 0.0
+        zero_ok &= res.min_delta >= 0.0 and res.witness.theta == 0.0
     ok = min(mins) >= -1e-10 and zero_ok and max(times) < 60.0
     record(2, ok, f"L=2,3,4 default grid, min delta = {min(mins):.3e} (floor -1e-10), "
                   f"theta=0 attains minimum: {zero_ok}, slowest {max(times):.1f}s (limit 60s)")
@@ -232,7 +232,7 @@ def test_criterion_9_invariances():
     scheme = lat.full_region_scheme()
     for p in params:
         deltas = [
-            energy_after_locc(scheme, p, lat, StabilizerBackend(lat.ground_group(s)), include_profile=False).delta
+            energy_after_locc(scheme, p, lat, StabilizerBackend(lat.ground_group(s))).delta
             for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))
         ]
         spread = max(spread, max(deltas) - min(deltas))
@@ -243,7 +243,7 @@ def test_criterion_9_invariances():
         for bob in range(2 * lat.L * lat.L):
             lat_b = ToricLattice(2, bob_qubit=bob)
             deltas.append(
-                energy_after_locc(lat_b.full_region_scheme(), p, lat_b, include_profile=False).delta
+                energy_after_locc(lat_b.full_region_scheme(), p, lat_b).delta
             )
         spread = max(spread, max(deltas) - min(deltas))
     edge_spread = spread
@@ -253,7 +253,7 @@ def test_criterion_9_invariances():
         for L in (2, 3, 4, 6):
             lat_l = ToricLattice(L)
             deltas.append(
-                energy_after_locc(lat_l.full_region_scheme(), p, lat_l, include_profile=False).delta
+                energy_after_locc(lat_l.full_region_scheme(), p, lat_l).delta
             )
         spread = max(spread, max(deltas) - min(deltas))
 

@@ -148,7 +148,13 @@ class TestQetRun:
 
     def test_post_measurement_terms_keys(self, pair):
         terms = post_measurement_terms(pair)
-        assert set(terms) == {"zz(0,1)", "x(0)", "x(1)"}
+        assert list(terms) == ["zz(0,1)", "x(0)", "x(1)"]
+
+    def test_term_labels_follow_the_hamiltonian(self):
+        # one label per term, in key order; a zero coupling leaves no zz term
+        assert protocol_system(build_chain(4)).term_labels == (
+            "zz(0,1)", "zz(1,2)", "zz(2,3)", "x(0)", "x(1)", "x(2)", "x(3)")
+        assert list(post_measurement_terms(build_chain(3, coupling=0.0))) == ["x(0)", "x(1)", "x(2)"]
 
 
 class TestOptimizeControl:
@@ -156,8 +162,9 @@ class TestOptimizeControl:
         result = optimize_control(pair, GRID)
         assert result.min_delta == pytest.approx(GOLDEN_MIN_DELTA, abs=1e-9)
         assert result.min_delta < -1e-3
-        assert result.p_plus == pytest.approx(GOLDEN_P_PLUS, abs=1e-12)
-        assert result.e_a == pytest.approx(GOLDEN_E_A, abs=1e-12)
+        system = protocol_system(pair)
+        assert system.probabilities[1] == pytest.approx(GOLDEN_P_PLUS, abs=1e-12)
+        assert system.injected_energy == pytest.approx(GOLDEN_E_A, abs=1e-12)
 
     def test_golden_matches_closed_value(self):
         assert GOLDEN_MIN_DELTA == pytest.approx(2.0 / math.sqrt(5.0) - 1.0, abs=1e-14)

@@ -377,6 +377,20 @@ class TestBuildCounts:
         assert code == 0, err
         assert (len(built), len(hams)) == (systems, hamiltonians)
 
+    @pytest.mark.parametrize("argv,profiles", [
+        (["verify", "--L", "3", "--backend", "both"], 0),
+        (["nogo-scan", "--L", "2", "--backend", "both", *FAST_GRID, "--out", "{tmp}/sweep.csv"], 0),
+        (["nogo-scan", "--L", "2", "--backend", "both", *FAST_GRID, "--json", "{tmp}/argmin.json"], 1),
+        (["control", "--sites", "2", *FAST_GRID, "--json", "{tmp}/control.json"], 1),
+    ])
+    def test_profile_only_for_a_json_report(self, capsys, monkeypatch, tmp_path, argv, profiles):
+        # verify builds and queries no profile; a JSON report attaches one
+        calls = count_calls(monkeypatch, cli, "post_measurement_profile")
+        inner = count_calls(monkeypatch, protocol, "post_measurement_profile")
+        code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 0, err
+        assert (len(calls), len(inner)) == (profiles, 0)
+
 
 class TestNoWholeLatticeProducts:
     """verify reads the measured stage G_k once and rotates only the target's

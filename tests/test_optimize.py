@@ -95,7 +95,7 @@ class TestQuadraticResponse:
             resp = self._response(lat2, backend)
             for _ in range(15):
                 params = random_params(rng)
-                direct = energy_after_locc(scheme, params, lat2, backend, include_profile=False)
+                direct = energy_after_locc(scheme, params, lat2, backend)
                 assert form_delta(resp, params) == pytest.approx(direct.delta, abs=1e-10)
 
     def test_matches_direct_at_larger_size(self, lat3):
@@ -104,7 +104,7 @@ class TestQuadraticResponse:
         resp = self._response(lat3)
         for _ in range(10):
             params = random_params(rng)
-            direct = energy_after_locc(scheme, params, lat3, include_profile=False)
+            direct = energy_after_locc(scheme, params, lat3)
             assert form_delta(resp, params) == pytest.approx(direct.delta, abs=1e-10)
 
     def test_independent_matches_manual_sum(self, lat2):
@@ -232,8 +232,9 @@ class TestBothOutcomesInOnePass:
 
     def _assert_system(self, system, seed):
         rng = np.random.default_rng(seed)
-        for op in [*response_operators(system), *system.observables.values(),
-                   random_polynomial(rng, system.measured, 30)]:
+        # the profile's one-term operators, one per Hamiltonian term
+        profile = [PauliPolynomial(system.n_qubits, {key: 1 + 0j}) for key in system.hamiltonian.terms]
+        for op in [*response_operators(system), *profile, random_polynomial(rng, system.measured, 30)]:
             self._assert_per_outcome(system, op)
 
     @pytest.mark.parametrize("L,seed", [(2, 191), (3, 193)])
@@ -325,7 +326,7 @@ class TestExactMinimum:
             min_delta, witness = resp.minimum(independent)
             assert min_delta <= self._sampled_min(resp, independent) + 1e-12
             assert form_delta(resp, witness) == pytest.approx(min_delta, abs=1e-12)
-            assert direct_energy(system, witness, include_profile=False).delta == pytest.approx(
+            assert direct_energy(system, witness).delta == pytest.approx(
                 min_delta, abs=1e-10
             )
             linear = max(linear, max(abs(resp.forms[k][0, 1:]).max() for k in (1, -1)))
@@ -339,7 +340,7 @@ class TestExactMinimum:
             result = optimize_system(system, GridSpec(theta_count=9, sphere_count=8), independent=independent)
             assert result.min_delta == resp.minimum(independent)[0]
             assert result.min_delta < result.grid_min
-            assert not result.zero_theta_attains
+            assert result.min_delta < 0.0
 
     def test_noise_eigenvalue_reads_as_idle_zero(self):
         # A true-zero minimum seen through float rounding: lambda_min a hair below 0.
@@ -375,7 +376,6 @@ class TestExactMinimum:
         result = optimize_locc(lat, lat.full_region_scheme())
         assert result.min_delta == 0.0
         assert result.witness == LoccParams(0.0, (1.0, 0.0, 0.0))
-        assert result.zero_theta_attains
 
 
 class TestOptimize:
@@ -384,12 +384,13 @@ class TestOptimize:
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_no_extraction_on_torus(self, L):
         lat = ToricLattice(L)
-        result = optimize_locc(lat, lat.full_region_scheme(), self.GRID)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        result = optimize_system(system, self.GRID)
         assert result.min_delta >= -1e-10
         assert result.min_delta == pytest.approx(0.0, abs=1e-9)
-        assert result.zero_theta_attains
+        assert result.min_delta >= 0.0
         assert result.witness.theta == 0.0
-        assert result.e_a == pytest.approx(2.0)
+        assert system.injected_energy == pytest.approx(2.0)
 
     def test_independent_outcomes_no_better(self, lat2):
         result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID, independent=True)
@@ -403,14 +404,18 @@ class TestOptimize:
         r_stab = optimize_locc(lat2, scheme, self.GRID)
         r_vec = optimize_locc(lat2, scheme, self.GRID, backend=StatevectorBackend(gs2))
         assert r_vec.min_delta == pytest.approx(r_stab.min_delta, abs=1e-10)
-        assert r_vec.e_a == pytest.approx(r_stab.e_a, abs=1e-10)
+        e_a = [ProtocolSystem.from_toric(lat2, scheme, b).injected_energy
+               for b in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2))]
+        assert e_a[1] == pytest.approx(e_a[0], abs=1e-10)
 
     def test_table_contract(self, lat2, tmp_path):
-        result = optimize_locc(lat2, lat2.full_region_scheme(), self.GRID)
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme())
+        result = optimize_system(system, self.GRID)
+        closed_form = np.array(list(result.closed_form_rows()))
         n_axes = 3 + 64
         assert result.thetas.shape == (33,)
         assert result.axes.shape == (n_axes, 3)
-        assert result.deltas.shape == result.closed_form.shape == (33, n_axes)
+        assert result.deltas.shape == closed_form.shape == (33, n_axes)
         # theta-major: row i is theta i, column j is axis j
         resp = QuadraticResponse(ProtocolSystem.from_toric(lat2, lat2.full_region_scheme()))
         for i, j in [(0, 0), (5, 1), (17, 40), (32, 66)]:
@@ -418,10 +423,13 @@ class TestOptimize:
             assert result.deltas[i, j] == pytest.approx(form_delta(resp, params), abs=1e-12)
         assert np.allclose(np.linalg.norm(result.axes, axis=1), 1.0, atol=1e-12)
         # the torus sweep sits exactly on the closed form
-        assert np.abs(result.deltas - result.closed_form).max() < 1e-9
+        assert np.abs(result.deltas - closed_form).max() < 1e-9
+        # row by row, the same multiplies as the whole-grid outer product
+        outer = np.outer(4.0 * np.sin(result.thetas) ** 2, result.axes[:, 1] ** 2 + result.axes[:, 2] ** 2)
+        assert closed_form.tobytes() == outer.tobytes()
         assert result.deltas.min() >= -1e-10
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), [(result, "stabilizer")])
+        write_sweep_csv(str(path), [(system, result, "stabilizer")])
         rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(9))
         assert rows.shape == (33 * n_axes, 9)
         assert np.all(rows[:n_axes, 0] == rows[0, 0])

@@ -1,5 +1,6 @@
 """Protocol operators, energies, and structural checks on both backends."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,33 @@ class TestEnergyInjected:
         )
 
 
+class TestTermLabels:
+    """The profile walks the Hamiltonian's terms with one label each."""
+
+    def test_torus_labels_name_each_term_in_key_order(self, lat3):
+        system = ProtocolSystem.from_toric(lat3, lat3.full_region_scheme())
+        names = [f"{kind}({r},{c})" for kind in ("star", "plaquette") for r in range(3) for c in range(3)]
+        assert system.term_labels == tuple(names)
+        ops = [*lat3.stars(), *lat3.plaquettes()]
+        assert list(system.hamiltonian.terms) == [(op.x_bits, op.z_bits) for op in ops]
+        assert list(protocol.post_measurement_profile(system)) == names
+
+    def test_profile_reads_each_star_and_plaquette(self, lat2):
+        # each label's value is sum_k <M_k O M_k> of its star or plaquette O, bit for bit
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme())
+        profile = protocol.post_measurement_profile(system)
+        for label, op in zip(system.term_labels, [*lat2.stars(), *lat2.plaquettes()], strict=True):
+            want = sum(v.real for v in system.sandwich_expectations(PauliPolynomial.from_string(op)).values())
+            assert profile[label] == want
+
+    @pytest.mark.parametrize("change", [lambda labels: labels[:-1], lambda labels: (*labels, "extra")])
+    def test_labels_that_miss_a_term_raise(self, lat2, change):
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme())
+        wrong = dataclasses.replace(system, term_labels=change(system.term_labels))
+        with pytest.raises(ValueError):
+            protocol.post_measurement_profile(wrong)
+
+
 class TestMeasuredStageOnce:
     """The system computes <M_k> once; the optimizer, every direct evaluation
     and the derivation chain read it instead of querying M_k again."""
@@ -190,12 +218,12 @@ class TestEnergyAfterLocc:
         scheme = lat2.full_region_scheme()
         for _ in range(10):
             params = LoccParams(rng.uniform(0, 2 * math.pi), (1.0, 0.0, 0.0))
-            rep = energy_after_locc(scheme, params, lat2, include_profile=False)
+            rep = energy_after_locc(scheme, params, lat2)
             assert rep.delta == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_axis_point(self, lat3):
         params = LoccParams(math.pi / 6, (0.0, 3.0 / 5.0, 4.0 / 5.0))
-        rep = energy_after_locc(lat3.full_region_scheme(), params, lat3, include_profile=False)
+        rep = energy_after_locc(lat3.full_region_scheme(), params, lat3)
         assert rep.delta == pytest.approx(1.0, abs=1e-12)
 
     def test_backends_agree_on_random_params(self, lat2, gs2):
@@ -205,8 +233,8 @@ class TestEnergyAfterLocc:
         vb = StatevectorBackend(gs2)
         for _ in range(20):
             params = random_params(rng)
-            r1 = energy_after_locc(scheme, params, lat2, sb, include_profile=False)
-            r2 = energy_after_locc(scheme, params, lat2, vb, include_profile=False)
+            r1 = energy_after_locc(scheme, params, lat2, sb)
+            r2 = energy_after_locc(scheme, params, lat2, vb)
             assert r1.delta == pytest.approx(r2.delta, abs=1e-10)
             assert r1.e_b == pytest.approx(r2.e_b, abs=1e-10)
 
@@ -218,7 +246,7 @@ class TestEnergyAfterLocc:
             backend = StabilizerBackend(lat.ground_group())
             for _ in range(30):
                 params = random_params(rng)
-                rep = energy_after_locc(scheme, params, lat, backend, include_profile=False)
+                rep = energy_after_locc(scheme, params, lat, backend)
                 assert rep.delta == pytest.approx(delta_closed_form(params), abs=1e-9)
 
     def test_report_fields_complete(self, lat2):
@@ -228,7 +256,8 @@ class TestEnergyAfterLocc:
         assert rep.ground_energy == -8.0
         assert rep.e_a_absolute == pytest.approx(-6.0)
         assert rep.p_plus + rep.p_minus == pytest.approx(1.0)
-        assert len(rep.stabilizer_expectations) == 8
+        assert rep.stabilizer_expectations == {}
+        assert len(excitation_profile(lat2.full_region_scheme(), lat2)) == 8
         assert "region A" in rep.scheme
 
 
@@ -305,7 +334,7 @@ class TestReferenceEnergy:
     TOL = 1e-12
 
     def assert_matches_reference(self, system, locc):
-        rep = protocol.direct_energy(system, locc, include_profile=False)
+        rep = protocol.direct_energy(system, locc)
         e_a, e_b = reference_energy(system, locc)
         assert abs(rep.e_a - e_a) <= self.TOL
         assert abs(rep.e_b - e_b) <= self.TOL
@@ -363,7 +392,7 @@ class TestDeltaClosedForm:
                     edges = [e for e in lat.region_a_edges if rng.random() < 0.5]
                 system = ProtocolSystem.from_toric(lat, lat.scheme_from_edges(edges))
                 holds = all(
-                    abs(direct_energy(system, p, include_profile=False).delta - delta_closed_form(p)) <= 1e-9
+                    abs(direct_energy(system, p).delta - delta_closed_form(p)) <= 1e-9
                     for p in draws
                 )
                 assert (system.closed_form is not None) == holds, (L, lat.bob_qubit, edges)
@@ -453,7 +482,7 @@ class TestInvariances:
             deltas = []
             for sector in self.SECTORS:
                 rep = energy_after_locc(
-                    scheme, params, lat2, StabilizerBackend(lat2.ground_group(sector)), include_profile=False
+                    scheme, params, lat2, StabilizerBackend(lat2.ground_group(sector))
                 )
                 deltas.append(rep.delta)
             assert max(deltas) - min(deltas) < 1e-10
@@ -465,7 +494,7 @@ class TestInvariances:
         for bob in range(8):
             lat = ToricLattice(2, bob_qubit=bob)
             rep = energy_after_locc(
-                lat.full_region_scheme(), params, lat, include_profile=False
+                lat.full_region_scheme(), params, lat
             )
             deltas.append(rep.delta)
         assert max(deltas) - min(deltas) < 1e-10
@@ -477,7 +506,7 @@ class TestInvariances:
         for L in (2, 3, 4, 6):
             lat = ToricLattice(L)
             rep = energy_after_locc(
-                lat.full_region_scheme(), params, lat, include_profile=False
+                lat.full_region_scheme(), params, lat
             )
             deltas.append(rep.delta)
         assert max(deltas) - min(deltas) < 1e-10

@@ -9,7 +9,7 @@ import pytest
 
 from toricqet.chain import build_chain, protocol_system
 from toricqet.lattice import ToricLattice
-from toricqet.optimize import GridSpec, optimize_system
+from toricqet.optimize import IDLE, GridSpec, OptimizeResult, optimize_system
 from toricqet.protocol import ProtocolSystem, make_backends
 from toricqet.reports import (
     SWEEP_COLUMNS,
@@ -77,25 +77,28 @@ class TestEnergyReport:
         assert rep.e_a == -1e-12
 
 
-def surface(thetas, axes, deltas, closed_form, p_plus=0.5, e_a=2.0):
-    """A grid surface with the fields of an OptimizeResult that the CSV reads."""
-    return SimpleNamespace(thetas=np.array(thetas), axes=np.array(axes), deltas=np.array(deltas),
-                           closed_form=np.array(closed_form), p_plus=p_plus, e_a=e_a)
+def block(thetas, axes, deltas, tag, p_plus=0.5, e_a=2.0):
+    """A CSV block: a stand-in for the system's measured stage (p_plus, E_A)
+    and an OptimizeResult holding the grid surface."""
+    system = SimpleNamespace(probabilities={1: p_plus, -1: 1.0 - p_plus}, injected_energy=e_a)
+    return system, OptimizeResult(0.0, IDLE, 0.0, np.array(thetas), np.array(axes), np.array(deltas)), tag
 
 
 class TestCsv:
-    POINT = surface([0.25], [[0.0, 0.5, 0.75]], [[0.5]], [[0.5]])
-    GRID = surface([0.25, 0.5], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[0.0, 0.25], [0.0, 0.75]],
-                   [[0.0, 0.25], [0.0, 0.75]])
+    POINT = block([0.25], [[0.0, 0.5, 0.75]], [[0.5]], "stabilizer")
+    GRID = block([0.25, 0.5], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[0.0, 0.25], [0.0, 0.75]], "statevector")
 
     def test_header_and_row(self):
-        lines = list(sweep_csv_lines([(self.POINT, "stabilizer")]))
+        lines = list(sweep_csv_lines([self.POINT]))
         assert lines[0] == "theta,nx,ny,nz,p_plus,E_A,E_B,delta,closed_form,backend"
-        assert lines[1] == "0.25,0,0.5,0.75,0.5,2,2.5,0.5,0.5,stabilizer"
+        # closed_form is the torus formula 4 sin^2(theta) (ny^2 + nz^2)
+        closed = float(next(self.POINT[1].closed_form_rows())[0])
+        assert closed == pytest.approx(4.0 * math.sin(0.25) ** 2 * (0.5 ** 2 + 0.75 ** 2), rel=1e-15)
+        assert lines[1] == f"0.25,0,0.5,0.75,0.5,2,2.5,0.5,{format_float(closed)},stabilizer"
 
     def test_full_precision_kept(self):
-        point = surface([0.6], [[1.0 / 3.0, 0.0, 0.0]], [[0.0]], [[0.0]])
-        line = list(sweep_csv_lines([(point, "stabilizer")]))[1]
+        point = block([0.6], [[1.0 / 3.0, 0.0, 0.0]], [[0.0]], "stabilizer")
+        line = list(sweep_csv_lines([point]))[1]
         fields = line.split(",")
         assert float(fields[0]) == 0.6
         assert float(fields[1]) == 1.0 / 3.0
@@ -107,7 +110,7 @@ class TestCsv:
 
     def test_write_and_read_back(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), [(self.GRID, "statevector")])
+        write_sweep_csv(str(path), [self.GRID])
         lines = path.read_text().splitlines()
         assert len(lines) == 5
         assert lines[0].split(",") == list(SWEEP_COLUMNS)
@@ -121,11 +124,11 @@ class TestCsv:
     def test_write_error_names_path(self, tmp_path):
         bad = tmp_path / "missing" / "sweep.csv"
         with pytest.raises(OSError, match="sweep"):
-            write_sweep_csv(str(bad), [(self.POINT, "stabilizer")])
+            write_sweep_csv(str(bad), [self.POINT])
 
     def test_blocks_share_one_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), [(self.POINT, "stabilizer"), (self.GRID, "statevector")])
+        write_sweep_csv(str(path), [self.POINT, self.GRID])
         lines = path.read_text().splitlines()
         assert len(lines) == 6
         assert [ln for ln in lines if ln.startswith("theta")] == [lines[0]]
@@ -138,15 +141,15 @@ def table_csv(blocks) -> str:
     passed through format_float: the reference the streaming writer must
     reproduce byte for byte."""
     lines = [",".join(SWEEP_COLUMNS)]
-    for res, backend in blocks:
+    for system, res, backend in blocks:
         t_count, m_count = res.deltas.shape
         rows = np.empty((t_count * m_count, 9), dtype=np.float64)
         rows[:, 0] = np.repeat(res.thetas, m_count)
         rows[:, 1:4] = np.tile(res.axes, (t_count, 1))
-        rows[:, 4] = res.p_plus
-        rows[:, 5] = res.e_a
+        rows[:, 4] = system.probabilities[1]
+        rows[:, 5] = system.injected_energy
         flat = res.deltas.reshape(-1)
-        rows[:, 6] = res.e_a + flat
+        rows[:, 6] = system.injected_energy + flat
         rows[:, 7] = flat
         s2 = np.repeat(np.sin(res.thetas) ** 2, m_count)
         rows[:, 8] = 4.0 * s2 * (rows[:, 2] ** 2 + rows[:, 3] ** 2)
@@ -170,15 +173,13 @@ class TestCsvMatchesTable:
     def test_control_table_grid(self, tmp_path):
         # the control-table benchmark workload: 263,939 rows
         model = build_chain(6, site_b=1)
-        res = optimize_system(protocol_system(model), GridSpec(theta_count=257, sphere_count=1024),
-                              independent=True)
-        self.check(tmp_path, [(res, model.label())])
+        system = protocol_system(model)
+        res = optimize_system(system, GridSpec(theta_count=257, sphere_count=1024), independent=True)
+        self.check(tmp_path, [(system, res, model.label())])
 
     def test_torus_both_backends(self, tmp_path):
         lat = ToricLattice(2)
         scheme = lat.full_region_scheme()
-        blocks = [
-            (optimize_system(ProtocolSystem.from_toric(lat, scheme, backend)), backend.name)
-            for backend in make_backends(lat, "both", (1, 1))
-        ]
+        systems = [ProtocolSystem.from_toric(lat, scheme, backend) for backend in make_backends(lat, "both", (1, 1))]
+        blocks = [(system, optimize_system(system), system.backend.name) for system in systems]
         self.check(tmp_path, blocks)
