@@ -115,17 +115,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _run_options(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
-    """Each subcommand's options by dest, --help and --config left out."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
-            for name, p in sub.choices.items()}
-
-
 # -- config file -----------------------------------------------------------------
 # A config key is an option's dest; its JSON type follows the option's declaration.
-
-_CONFIG_OPTIONS = _run_options(build_parser())
 
 
 def _is_int(value) -> bool:
@@ -152,13 +143,14 @@ def _check_config_value(action: argparse.Action, value):
         raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
 
 
-def _load_config(path: str, command: str) -> dict:
-    """The file's values, each a declared option of `command` of its flag's type."""
+def _load_config(path: str, parser: argparse.ArgumentParser, command: str) -> dict:
+    """The file's values, each an option `parser` declares for `command`, of its flag's type."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    options = _CONFIG_OPTIONS[command]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
     undeclared = set(data) - set(options)
     if undeclared:
         raise ValueError(f"config keys in {path} that {command} does not take: {sorted(undeclared)}")
@@ -312,10 +304,11 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config is not None:
             # explicit flags still beat the file's values on the second parse
-            args = build_parser(_load_config(args.config, args.command)).parse_args(argv)
+            args = build_parser(_load_config(args.config, parser, args.command)).parse_args(argv)
         return COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
