@@ -8,37 +8,9 @@ significant index bit, so it is the rightmost kron factor.
 import numpy as np
 import pytest
 
-from conftest import poly_close
+from conftest import I2, X2, Y2, Z2, dense_poly, dense_string, poly_close, random_string
 
-from toricqet.pauli import PRUNE_TOL, PauliPolynomial, PauliString, phase_value
-
-I2 = np.eye(2, dtype=complex)
-X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def dense_string(p: PauliString) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for j in range(p.n_qubits):
-        xb = (p.x_bits >> j) & 1
-        zb = (p.z_bits >> j) & 1
-        factor = (I2, X2, Z2, X2 @ Z2)[xb + 2 * zb]
-        out = np.kron(factor, out)
-    return phase_value(p.phase_exp) * out
-
-
-def dense_poly(poly: PauliPolynomial) -> np.ndarray:
-    dim = 1 << poly.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in poly.strings():
-        out += coeff * dense_string(string)
-    return out
-
-
-def random_string(rng, n: int) -> PauliString:
-    top = 1 << n
-    return PauliString(n, int(rng.integers(top)), int(rng.integers(top)), int(rng.integers(4)))
+from toricqet.pauli import PRUNE_TOL, PauliPolynomial, PauliString
 
 
 def random_poly(rng, n: int, max_terms: int = 6) -> PauliPolynomial:
