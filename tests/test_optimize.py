@@ -417,7 +417,7 @@ class TestOptimize:
         assert result.axes.shape == (n_axes, 3)
         assert result.deltas.shape == closed_form.shape == (33, n_axes)
         # theta-major: row i is theta i, column j is axis j
-        resp = QuadraticResponse(ProtocolSystem.from_toric(lat2, lat2.full_region_scheme()))
+        resp = QuadraticResponse(system)
         for i, j in [(0, 0), (5, 1), (17, 40), (32, 66)]:
             params = LoccParams(float(result.thetas[i]), tuple(result.axes[j]))
             assert result.deltas[i, j] == pytest.approx(form_delta(resp, params), abs=1e-12)
