@@ -6,14 +6,17 @@ outcome k the response precomputes
 
     h_k      = <M_k H M_k>                  (the system's measured_energies)
     C_k[i]   = <M_k [H_t, sigma^i] M_k>     (i = x, y, z; target_commutator)
-    W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (each operator through system.sandwich)
+    W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (four key-family tables)
 
 H_t holds the terms on the target, the only ones sigma^i fails to commute
 with; the sigmas commute with M_k, since S never touches the target.  Both
-outcomes of each of these 13 operators come from one `sandwich_expectations`
-pass, so the response costs one engine lookup per key of the 13 sandwich
-tables (about |H| keys each for H and the 9 W products, a few for C).  Then,
-with the unit 4-vector w = (cos theta, sin theta n),
+outcomes of an operator come from one pass over its terms, and operators
+that share their key order share one table (`ProtocolSystem.sandwiches`).
+The nine W products fall into four such families (KEY_FAMILIES): the three
+diagonal ones have H's keys, and (i, j) shares its keys with (j, i).  So
+the response costs one engine lookup per key of eight tables: H, the three
+commutators (a few keys each) and the four families (about |H| keys each).
+Then, with the unit 4-vector w = (cos theta, sin theta n),
 
     delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
     r_k = k Re(i C_k).
@@ -28,6 +31,7 @@ direct operator sandwich is part of the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,6 +42,10 @@ from .lattice import MeasurementScheme, ToricLattice
 from .protocol import AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, sigma_poly, target_commutator
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+# The (i, j) of W_k grouped by the keys of sigma^i H sigma^j: the key of each
+# term of H is XORed with that of sigma^i sigma^j, in H's order.  So the
+# diagonal products have H's keys, and (i, j) and (j, i) share theirs.
+KEY_FAMILIES = (((0, 0), (1, 1), (2, 2)), ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1)))
 # theta = 0 leaves the state untouched: delta = K_00 = 0 exactly.
 IDLE = LoccParams(0.0, CANONICAL_AXES[0])
 # How far the exact minimum may sit above the grid minimum, relative to the
@@ -90,11 +98,13 @@ class QuadraticResponse:
         comms = [system.sandwich_expectations(target_commutator(system, axis)) for axis in CANONICAL_AXES]
         c = {k: np.array([comm[k] for comm in comms], dtype=complex) for k in OUTCOMES}
         w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
-        for i, si in enumerate(sigmas):
-            for j, sj in enumerate(sigmas):
-                # One whole-H product alive at a time (peak memory), both outcomes from one pass.
-                for k, value in system.sandwich_expectations(si.mul(system.hamiltonian).mul(sj)).items():
-                    w[k][i, j] = value
+        for family in KEY_FAMILIES:
+            # The generator keeps one whole-H product alive at a time (peak memory).
+            table = system.sandwiches(sigmas[i].mul(system.hamiltonian).mul(sigmas[j]) for i, j in family)
+            values = system.backend.expect_columns(table.items(), len(family) * len(OUTCOMES))
+            del table
+            for ((i, j), k), value in zip(itertools.product(family, OUTCOMES), values):
+                w[k][i, j] = value
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
         self.w_shared = sum(w[k].real for k in OUTCOMES)
         self.r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)

@@ -18,10 +18,13 @@ polynomial in one pass over its terms, and U_k acts on the target alone
 (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>, H_t the terms there).
 Both outcomes of an operator that does not depend on k share their keys
 (a and S a), so `sandwiches` builds them in one pass with one coefficient
-per outcome, and `sandwich_expectations` hands that table to the backend's
-column kernel: a query costs one engine lookup per key, not one per key and
-outcome.  `sandwich(op, k)` is kept for operators that depend on k and for
-the polynomial identities the checks compare.
+per outcome.  Operators that share their key order (such as sigma^i H sigma^j
+and sigma^j H sigma^i) share one table: the first records where each term
+lands, and the others reuse those slots.  The backend's column kernel reads
+the table once: a query costs one engine lookup per key, not one per key,
+outcome and operator.  `sandwich_expectations` is the one-operator query;
+`sandwich(op, k)` is kept for operators that depend on k and for the
+polynomial identities the checks compare.
 """
 
 from __future__ import annotations
@@ -211,56 +214,72 @@ class ProtocolSystem:
         """The Kraus projectors M_k = (I + kS)/2, by outcome."""
         return {k: PauliPolynomial.projector(self.measured, k) for k in OUTCOMES}
 
-    def sandwiches(self, op: PauliPolynomial) -> dict[tuple[int, int], list[Optional[complex]]]:
-        """M_k op M_k for both outcomes, in one pass over op's terms.
+    def sandwiches(self, ops: Iterable[PauliPolynomial]) -> dict[tuple[int, int], list[Optional[complex]]]:
+        """M_k op M_k for both outcomes of every op, in one table.
 
-        A term a that anticommutes with S drops out; one that commutes adds
-        (a + k S a)/2.  Both outcomes have the same keys, so each key gets one
-        row holding its coefficient per outcome (OUTCOMES order), None where
-        it falls below PRUNE_TOL.  Column j, read in row order, has the keys,
-        key order and coefficients of m_ops[k].mul(op).mul(m_ops[k]) for
-        k = OUTCOMES[j].
+        The ops must share one key order (the same keys, in the same order),
+        or ValueError is raised.  A term a that anticommutes with S drops
+        out; one that commutes adds (a + k S a)/2.  The first op records a
+        slot per term (the row of a, the row of S a and the sign of S a), and
+        every op adds its coefficients through those slots, so only the first
+        hashes and shifts keys.  Each key gets one row holding, op by op, its
+        coefficient per outcome (OUTCOMES order), None where it falls below
+        PRUNE_TOL.  Column 2t + j, read in row order, has the keys, key order
+        and coefficients of m_ops[k].mul(ops[t]).mul(m_ops[k]) for
+        k = OUTCOMES[j].  `ops` is consumed lazily and each op is released
+        before the next is drawn, so a generator of whole-H products keeps
+        one of them alive at a time.
         """
         sx, sz = self.measured.x_bits, self.measured.z_bits
         (half_p, shift_p), (half_m, shift_m) = (
             (self.m_ops[k].terms[(0, 0)], self.m_ops[k].terms[(sx, sz)]) for k in OUTCOMES
         )
         rows: dict[tuple[int, int], list] = {}
-        for key, c in op.terms.items():
-            x, z = key
-            if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
-                continue
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0.0, 0.0]
-            row[0] += half_p * c
-            row[1] += half_m * c
-            sign = -1.0 if (sz & x).bit_count() & 1 else 1.0
-            key = (x ^ sx, z ^ sz)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = [0.0, 0.0]
-            row[0] += shift_p * c * sign
-            row[1] += shift_m * c * sign
+        keys = slots = None
+        col = 0  # not enumerate(ops): its reused result tuple would hold the last op
+        for op in ops:
+            if keys is None:
+                keys, slots = list(op.terms), []
+                for key in keys:
+                    x, z = key
+                    if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
+                        slots.append(None)
+                    else:
+                        sign = -1.0 if (sz & x).bit_count() & 1 else 1.0
+                        slots.append((rows.setdefault(key, [0.0, 0.0]),
+                                      rows.setdefault((x ^ sx, z ^ sz), [0.0, 0.0]), sign))
+            elif list(op.terms) != keys:
+                raise ValueError("operators of one sandwich table must share their key order")
+            else:
+                for row in rows.values():
+                    row += (0.0, 0.0)
+            for c, slot in zip(op.terms.values(), slots):
+                if slot is not None:
+                    row, shifted, sign = slot
+                    row[col] += half_p * c
+                    row[col + 1] += half_m * c
+                    shifted[col] += shift_p * c * sign
+                    shifted[col + 1] += shift_m * c * sign
+            col += len(OUTCOMES)
+            del op
         for row in rows.values():
-            if not abs(row[0]) >= PRUNE_TOL:
-                row[0] = None
-            if not abs(row[1]) >= PRUNE_TOL:
-                row[1] = None
+            for j, c in enumerate(row):
+                if not abs(c) >= PRUNE_TOL:
+                    row[j] = None
         return rows
 
     def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
-        """M_k op M_k for one outcome: the outcome-k column of sandwiches(op),
+        """M_k op M_k for one outcome: the outcome-k column of sandwiches((op,)),
         for an op that depends on k or a polynomial identity."""
         j = OUTCOMES.index(k)
         return PauliPolynomial(
-            self.n_qubits, {key: row[j] for key, row in self.sandwiches(op).items() if row[j] is not None}
+            self.n_qubits, {key: row[j] for key, row in self.sandwiches((op,)).items() if row[j] is not None}
         )
 
     def sandwich_expectations(self, op: PauliPolynomial) -> dict[int, complex]:
-        """{k: <M_k op M_k>}: both outcomes from one sandwiches(op) table, each
-        key queried once."""
-        return dict(zip(OUTCOMES, self.backend.expect_columns(self.sandwiches(op).items(), len(OUTCOMES))))
+        """{k: <M_k op M_k>}: both outcomes from one sandwiches((op,)) table,
+        each key queried once."""
+        return dict(zip(OUTCOMES, self.backend.expect_columns(self.sandwiches((op,)).items(), len(OUTCOMES))))
 
     @cached_property
     def measured_energies(self) -> dict[int, float]:

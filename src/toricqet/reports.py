@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Optional
 
 SWEEP_COLUMNS = (
@@ -112,17 +114,18 @@ def format_float(x: float) -> str:
 def sweep_csv_lines(blocks: Iterable[tuple]):
     """Yield the header, then one line per grid point of each (system, surface,
     backend tag) block, theta-major: p_plus and E_A from a ``ProtocolSystem``,
-    the rest from an ``OptimizeResult``.  Only E_B, delta and closed_form are
-    formatted per row, the rest once."""
+    the rest from an ``OptimizeResult``.  Each axis gets one %-template with
+    its axis, p_plus, E_A and backend fields formatted once; a row fills in
+    theta, E_B, delta and closed_form (%.17g is format_float's format)."""
     yield ",".join(SWEEP_COLUMNS)
     for system, surface, backend in blocks:
         e_a = system.injected_energy
-        axes = [",".join(map(format_float, axis)) for axis in surface.axes.tolist()]
         shared = f"{format_float(float(system.probabilities[1]))},{format_float(float(e_a))}"
+        templates = [f"%s,{','.join(map(format_float, axis))},{shared},%.17g,%.17g,%.17g,{backend}"
+                     for axis in surface.axes.tolist()]
         for theta, deltas, closed in zip(surface.thetas.tolist(), surface.deltas, surface.closed_form_rows()):
-            head = format_float(theta)
-            for axis, e, d, c in zip(axes, (e_a + deltas).tolist(), deltas.tolist(), closed.tolist()):
-                yield f"{head},{axis},{shared},{format_float(e)},{format_float(d)},{format_float(c)},{backend}"
+            rows = zip(repeat(format_float(theta)), (e_a + deltas).tolist(), deltas.tolist(), closed.tolist())
+            yield from map(operator.mod, templates, rows)
 
 
 def write_lines(path: str, artifact: str, lines: Iterable[str]):

@@ -1,6 +1,7 @@
 """Grid search and quadratic response surface against the direct sandwich path."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from toricqet.stabilizer import StabilizerGroup
 from toricqet.optimize import (
     CANONICAL_AXES,
     IDLE,
+    KEY_FAMILIES,
     NOISE_TOL,
     GridSpec,
     ProtocolSystem,
@@ -152,6 +154,11 @@ def whole_g_response(system):
         g = system.m_ops[k].mul(system.hamiltonian).mul(system.m_ops[k])
         c[k] = np.array([expect(g.commutator(s)) for s in sigmas], dtype=complex)
         w[k] = np.array([[expect(si.mul(g).mul(sj)) for sj in sigmas] for si in sigmas], dtype=complex)
+    return assemble_response(c, w, h)
+
+
+def assemble_response(c, w, h):
+    """forms, w_shared and r_shared from C_k, W_k and h_k, in QuadraticResponse's arithmetic."""
     forms = {}
     for k in OUTCOMES:
         form = np.zeros((4, 4))
@@ -161,6 +168,20 @@ def whole_g_response(system):
     w_shared = sum(w[k].real for k in OUTCOMES)
     r_shared = sum(k * (1j * c[k]).real for k in OUTCOMES)
     return forms, w_shared, r_shared
+
+
+def nine_product_response(system):
+    """forms, w_shared and r_shared with one sandwich table per operator of
+    response_operators: H, the three commutators and the nine sigma^i H sigma^j."""
+    ops = response_operators(system)
+    h = {k: value.real for k, value in system.sandwich_expectations(ops[0]).items()}
+    comms = [system.sandwich_expectations(op) for op in ops[1:4]]
+    c = {k: np.array([comm[k] for comm in comms], dtype=complex) for k in OUTCOMES}
+    w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
+    for index, op in enumerate(ops[4:]):
+        for k, value in system.sandwich_expectations(op).items():
+            w[k][divmod(index, 3)] = value
+    return assemble_response(c, w, h)
 
 
 def random_toric_systems(L, count, seed):
@@ -177,17 +198,18 @@ def random_toric_systems(L, count, seed):
 
 
 class TestWholeGReference:
-    """The response tensors from the target's commutator and the operator
-    sandwich are bit-for-bit those of the whole-G_k algebra."""
+    """The response tensors from the target's commutator and the key-family
+    tables are bit-for-bit those of the whole-G_k algebra, and those of one
+    sandwich table per operator (nine_product_response)."""
 
     @staticmethod
     def _assert_bytes_equal(system):
         resp = QuadraticResponse(system)
-        forms, w_shared, r_shared = whole_g_response(system)
-        for k in OUTCOMES:
-            assert resp.forms[k].tobytes() == forms[k].tobytes()
-        assert resp.w_shared.tobytes() == w_shared.tobytes()
-        assert resp.r_shared.tobytes() == r_shared.tobytes()
+        for forms, w_shared, r_shared in (whole_g_response(system), nine_product_response(system)):
+            for k in OUTCOMES:
+                assert resp.forms[k].tobytes() == forms[k].tobytes()
+            assert resp.w_shared.tobytes() == w_shared.tobytes()
+            assert resp.r_shared.tobytes() == r_shared.tobytes()
 
     @pytest.mark.parametrize("L,seed", [(2, 11), (3, 13)])
     def test_random_schemes_both_engines(self, L, seed):
@@ -213,6 +235,29 @@ def response_operators(system):
     sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
     return [system.hamiltonian, *(target_commutator(system, axis) for axis in CANONICAL_AXES),
             *(si.mul(system.hamiltonian).mul(sj) for si in sigmas for sj in sigmas)]
+
+
+def family_operators(system, family):
+    sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+    return [sigmas[i].mul(system.hamiltonian).mul(sigmas[j]) for i, j in family]
+
+
+def assert_table_columns(system, ops):
+    """Each op's columns in the shared table sandwiches(ops) are its own
+    sandwiches((op,)) table's, bit for bit, and so are their expectations from
+    one expect_columns call."""
+    width = len(OUTCOMES)
+    table = system.sandwiches(iter(ops))
+    values = system.backend.expect_columns(table.items(), width * len(ops))
+    for t, op in enumerate(ops):
+        own = system.sandwiches((op,))
+        assert list(table) == list(own)
+        for row, own_row in zip(table.values(), own.values()):
+            assert [c if c is None else value_bits(c) for c in row[width * t:width * (t + 1)]] == [
+                c if c is None else value_bits(c) for c in own_row]
+        want = system.sandwich_expectations(op)
+        for j, k in enumerate(OUTCOMES):
+            assert value_bits(values[width * t + j]) == value_bits(want[k])
 
 
 class TestBothOutcomesInOnePass:
@@ -264,23 +309,35 @@ class TestBothOutcomesInOnePass:
             n, [(star, 1.0), (string_product(scheme.operator(), star), -(1.0 + 2.0 ** -44)), (plaquette, 0.25)])
         for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
             system = ProtocolSystem.from_toric(lat2, scheme, backend)
-            rows = system.sandwiches(op)
+            rows = system.sandwiches((op,))
             assert sum(row[0] is None and row[1] is not None for row in rows.values()) == 2
             self._assert_per_outcome(system, op)
+            # in a two-operator table, next to an op with the same keys that keeps them all
+            kept = PauliPolynomial(n, {key: 1.0 + 0j for key in op.terms})
+            for ops, t in (([op, kept], 0), ([kept, op], 1)):
+                rows = system.sandwiches(iter(ops))
+                assert sum(row[2 * t] is None and row[2 * t + 1] is not None for row in rows.values()) == 2
+                assert not any(row[2 - 2 * t] is None for row in rows.values())
+                assert_table_columns(system, ops)
             # what is left under M_+ is M_+ B M_+ / 4 = (B + B S) / 8, and <B S> = 0;
             # the pruned keys would add 2^-45 <A> = 2.8e-14 to it
             assert system.sandwich_expectations(op)[1] == pytest.approx(0.125, abs=1e-15)
 
 
 class TestOneReductionPerKey:
-    """Each key of the two outcomes' sandwiches is reduced once, not once per outcome."""
+    """Each key of a sandwich table is reduced once, not once per outcome and
+    operator: one table for H, one per commutator, and one per key family of
+    the nine sigma^i H sigma^j."""
 
     def test_response_at_l8(self, monkeypatch):
         lat = ToricLattice(8, 127)
         system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
         ops = response_operators(system)
         per_outcome = [set(system.sandwich(op, k).terms) for op in ops for k in OUTCOMES]
-        keys = [plus | minus for plus, minus in zip(per_outcome[::2], per_outcome[1::2])]
+        per_op = [plus | minus for plus, minus in zip(per_outcome[::2], per_outcome[1::2])]
+        # sigma^i H sigma^j is ops[4 + 3 i + j]
+        tables = [[0], [1], [2], [3], *([4 + 3 * i + j for i, j in family] for family in KEY_FAMILIES)]
+        keys = [set().union(*(per_op[t] for t in table)) for table in tables]
         reduce = StabilizerGroup._reduce
         calls = []
 
@@ -291,8 +348,65 @@ class TestOneReductionPerKey:
         monkeypatch.setattr(StabilizerGroup, "_reduce", counted)
         QuadraticResponse(system)
         assert len(calls) == sum(map(len, keys))
-        # one reduction per key and outcome would be sum(map(len, per_outcome))
-        assert len(calls) <= 0.55 * sum(map(len, per_outcome))
+        # one reduction per key and outcome would be sum(map(len, per_outcome)),
+        # one per key and operator about half that
+        assert len(calls) <= 0.27 * sum(map(len, per_outcome))
+
+
+class TestKeyFamilyTables:
+    """One sandwiches table for several operators that share a key order."""
+
+    def _assert_system(self, system, seed):
+        for family in KEY_FAMILIES:
+            assert_table_columns(system, family_operators(system, family))
+        # merging keys (a and S a both terms), with independent coefficients per op
+        rng = np.random.default_rng(seed)
+        op = random_polynomial(rng, system.measured, 30)
+        others = [PauliPolynomial(op.n_qubits, {key: complex(rng.standard_normal()) for key in op.terms})
+                  for _ in range(2)]
+        assert_table_columns(system, [op, *others])
+
+    @pytest.mark.parametrize("L,seed", [(2, 211), (3, 223)])
+    def test_random_schemes_both_engines(self, L, seed):
+        for system in random_toric_systems(L, 2, seed):
+            self._assert_system(system, seed)
+
+    def test_high_edge_stabilizer(self):
+        lat = ToricLattice(8, 127)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        for family in KEY_FAMILIES:
+            assert_table_columns(system, family_operators(system, family))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_six_site_chain(self, axis):
+        self._assert_system(protocol_system(build_chain(6, 0.7, 1.3, 2), axis), 229)
+
+    def test_one_operator_alive_at_a_time(self):
+        # a generator of whole-H products: how many earlier ones are still
+        # alive when the next is drawn (enumerate's reused tuple would keep one)
+        system = protocol_system(build_chain(6, 0.7, 1.3, 2), "y")
+        refs, alive = [], []
+
+        def draw():
+            for pair in KEY_FAMILIES[0]:
+                alive.append(sum(ref() is not None for ref in refs))
+                op, = family_operators(system, (pair,))
+                refs.append(weakref.ref(op))
+                yield op
+                del op
+
+        system.sandwiches(draw())
+        assert alive == [0, 0, 0]
+
+    def test_key_orders_must_match(self):
+        system = protocol_system(build_chain(4, 0.7, 1.3, 1), "y")
+        ham = system.hamiltonian
+        diagonal, crossed = family_operators(system, ((0, 0), (0, 1)))
+        reordered = PauliPolynomial(ham.n_qubits, dict(reversed(ham.terms.items())))
+        shorter = PauliPolynomial(ham.n_qubits, dict(list(ham.terms.items())[1:]))
+        for ops in ([diagonal, crossed], [ham, reordered], [ham, shorter], [shorter, ham]):
+            with pytest.raises(ValueError, match="key order"):
+                system.sandwiches(iter(ops))
 
 
 class TestExactMinimum:
