@@ -6,16 +6,22 @@ outcome k the response precomputes
 
     h_k      = <M_k H M_k>                  (the system's measured_energies)
     C_k[i]   = <M_k [H_t, sigma^i] M_k>     (i = x, y, z; target_commutator)
-    W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (four key-family tables)
+    W_k[i,j] = <M_k sigma^i H sigma^j M_k>  (four passes over H's slots)
 
 H_t holds the terms on the target, the only ones sigma^i fails to commute
 with; the sigmas commute with M_k, since S never touches the target.  Both
-outcomes of an operator come from one pass over its terms, and operators
-that share their key order share one table (`ProtocolSystem.sandwiches`).
-The nine W products fall into four such families (KEY_FAMILIES): the three
-diagonal ones have H's keys, and (i, j) shares its keys with (j, i).  So
-the response costs one engine lookup per key of eight tables: H, the three
-commutators (a few keys each) and the four families (about |H| keys each).
+outcomes of an operator come from one pass over its terms
+(`ProtocolSystem.sandwiches`).  No product sigma^i H sigma^j is built: for
+a term a of H, sigma^i a sigma^j = c' (a xor t_ij), with t_ij the key of
+sigma^i sigma^j on the target and c' a function of a's coefficient and its
+bits at the target (`product_coefficients`).  So each W column is H's
+table with its keys XORed by t_ij and its own coefficients, read from the
+slots H's keys hash to once (`ProtocolSystem.hamiltonian_sandwiches`).
+The nine columns take four passes (KEY_FAMILIES): H with the three
+diagonal products (t = 0), whose H column gives h_k, then (x,y), (x,z) and
+(y,z), since (i, j) shares t with (j, i).  The response costs one engine
+lookup per key of seven tables: the three commutators (a few keys each)
+and the four passes (about |H| keys each).
 Then, with the unit 4-vector w = (cos theta, sin theta n),
 
     delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
@@ -34,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -94,15 +101,17 @@ class QuadraticResponse:
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
-        sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+        # each sigma^i as its one term (key, coefficient)
+        sigmas = [next(iter(sigma_poly(system.n_qubits, system.target, a).terms.items())) for a in AXIS_NAMES]
         comms = [system.sandwich_expectations(target_commutator(system, axis)) for axis in CANONICAL_AXES]
         c = {k: np.array([comm[k] for comm in comms], dtype=complex) for k in OUTCOMES}
         w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
+        per_term = product_coefficients(system, sigmas)
+        passes = []
         for family in KEY_FAMILIES:
-            # The generator keeps one whole-H product alive at a time (peak memory).
-            table = system.sandwiches(sigmas[i].mul(system.hamiltonian).mul(sigmas[j]) for i, j in family)
-            values = system.backend.expect_columns(table.items(), len(family) * len(OUTCOMES))
-            del table
+            ((xi, zi), _), ((xj, zj), _) = (sigmas[a] for a in family[0])
+            passes.append(((xi ^ xj, zi ^ zj), [map(itemgetter(3 * i + j), per_term) for i, j in family]))
+        for family, values in zip(KEY_FAMILIES, system.hamiltonian_sandwiches(passes)):
             for ((i, j), k), value in zip(itertools.product(family, OUTCOMES), values):
                 w[k][i, j] = value
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
@@ -165,6 +174,36 @@ class OptimizeResult:
         if isinstance(self.witness, LoccParams):
             return describe(self.witness)
         return "; ".join(f"k={k:+d}: {describe(self.witness[k])}" for k in sorted(self.witness, reverse=True))
+
+
+def product_coefficients(system: ProtocolSystem, sigmas) -> list[tuple[complex, ...]]:
+    """Per term a of H, in H's order, the coefficients of sigma^i a sigma^j,
+    (i, j) row-major, each sigma a one-term (key, coefficient) on the target.
+
+    sigma^i a sigma^j = c' (a xor t_ij), and c' depends only on a's
+    coefficient and its x and z bits at the target, so it is computed once
+    per such class.  It takes PauliPolynomial.mul's float operations, so it
+    has the bits of that term of sigma^i.mul(H).mul(sigma^j): mul's
+    `acc.get(key, 0.0) +` is the `0.0 +` here, which also clears signed
+    zeros, so coefficients that compare equal share a class.
+    """
+    t = system.target
+    memo: dict[tuple[complex, int, int], tuple[complex, ...]] = {}
+    per_term = []
+    for (x, z), c in system.hamiltonian.terms.items():
+        cls = (c, (x >> t) & 1, (z >> t) & 1)
+        coeffs = memo.get(cls)
+        if coeffs is None:
+            coeffs = memo[cls] = tuple(_product_coefficient(c, x, z, si, sj) for si in sigmas for sj in sigmas)
+        per_term.append(coeffs)
+    return per_term
+
+
+def _product_coefficient(c: complex, x: int, z: int, left, right) -> complex:
+    (_, zl), cl = left
+    (xr, _), cr = right
+    inner = 0.0 + cl * c * (-1.0 if (zl & x).bit_count() & 1 else 1.0)
+    return 0.0 + inner * cr * (-1.0 if ((zl ^ z) & xr).bit_count() & 1 else 1.0)
 
 
 def _lowest(form: np.ndarray, noise: float = 0.0) -> tuple[float, LoccParams]:

@@ -16,15 +16,10 @@ toric code on either engine and the chain run the identical code path.
 Two local facts keep that algebra small: M_k = (I + kS)/2 sandwiches a
 polynomial in one pass over its terms, and U_k acts on the target alone
 (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>, H_t the terms there).
-Both outcomes of an operator that does not depend on k share their keys
-(a and S a), so `sandwiches` builds them in one pass with one coefficient
-per outcome.  Operators that share their key order (such as sigma^i H sigma^j
-and sigma^j H sigma^i) share one table: the first records where each term
-lands, and the others reuse those slots.  The backend's column kernel reads
-the table once: a query costs one engine lookup per key, not one per key,
-outcome and operator.  `sandwich_expectations` is the one-operator query;
-`sandwich(op, k)` is kept for operators that depend on k and for the
-polynomial identities the checks compare.
+The Kraus sandwiches M_k P M_k, both outcomes from one table, come from
+`KrausSandwiches` (kraus.py), which ProtocolSystem extends.  The response
+reads the nine sigma^i H sigma^j from H's own slots
+(`hamiltonian_sandwiches`), with H in the first pass.
 """
 
 from __future__ import annotations
@@ -34,13 +29,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from .kraus import OUTCOMES, KrausSandwiches
 from .lattice import MeasurementScheme, ToricLattice
-from .pauli import PRUNE_TOL, PauliPolynomial, PauliString, TermRow
+from .pauli import PauliPolynomial, PauliString, TermRow
 from .reports import EnergyReport
 from .stabilizer import StabilizerGroup
 from . import statevector as sv
 
-OUTCOMES = (1, -1)
 AXIS_NAMES = ("x", "y", "z")
 AXIS_TOL = 1e-12
 MATCH_TOL = 1e-10
@@ -166,7 +161,7 @@ def delta_closed_form(params: LoccParams) -> float:
 
 
 @dataclass(frozen=True)
-class ProtocolSystem:
+class ProtocolSystem(KrausSandwiches):
     """One model's protocol, independent of which model produced it.
 
     Read by both the direct evaluator and the optimizer's response surface,
@@ -209,77 +204,28 @@ class ProtocolSystem:
             closed_form=delta_closed_form if collapses else None,
         )
 
-    @cached_property
-    def m_ops(self) -> dict[int, PauliPolynomial]:
-        """The Kraus projectors M_k = (I + kS)/2, by outcome."""
-        return {k: PauliPolynomial.projector(self.measured, k) for k in OUTCOMES}
+    def hamiltonian_sandwiches(
+        self, passes: Sequence[tuple[tuple[int, int], Sequence[Iterable[complex]]]]
+    ) -> list[list[complex]]:
+        """<M_k P M_k> for operators P on H's terms: per pass, the backend's
+        expect_columns values of the table sandwiches(H's keys, passes) fills.
 
-    def sandwiches(self, ops: Iterable[PauliPolynomial]) -> dict[tuple[int, int], list[Optional[complex]]]:
-        """M_k op M_k for both outcomes of every op, in one table.
-
-        The ops must share one key order (the same keys, in the same order),
-        or ValueError is raised.  A term a that anticommutes with S drops
-        out; one that commutes adds (a + k S a)/2.  The first op records a
-        slot per term (the row of a, the row of S a and the sign of S a), and
-        every op adds its coefficients through those slots, so only the first
-        hashes and shifts keys.  Each key gets one row holding, op by op, its
-        coefficient per outcome (OUTCOMES order), None where it falls below
-        PRUNE_TOL.  Column 2t + j, read in row order, has the keys, key order
-        and coefficients of m_ops[k].mul(ops[t]).mul(m_ops[k]) for
-        k = OUTCOMES[j].  `ops` is consumed lazily and each op is released
-        before the next is drawn, so a generator of whole-H products keeps
-        one of them alive at a time.
+        H itself joins the first pass, which must be unshifted, as its first
+        column; its values are the measured energies, so a response that
+        reads H's keys reduces each of them once, not once more for
+        `measured_energies`.  Returns each pass's values without H's.
         """
-        sx, sz = self.measured.x_bits, self.measured.z_bits
-        (half_p, shift_p), (half_m, shift_m) = (
-            (self.m_ops[k].terms[(0, 0)], self.m_ops[k].terms[(sx, sz)]) for k in OUTCOMES
-        )
-        rows: dict[tuple[int, int], list] = {}
-        keys = slots = None
-        col = 0  # not enumerate(ops): its reused result tuple would hold the last op
-        for op in ops:
-            if keys is None:
-                keys, slots = list(op.terms), []
-                for key in keys:
-                    x, z = key
-                    if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
-                        slots.append(None)
-                    else:
-                        sign = -1.0 if (sz & x).bit_count() & 1 else 1.0
-                        slots.append((rows.setdefault(key, [0.0, 0.0]),
-                                      rows.setdefault((x ^ sx, z ^ sz), [0.0, 0.0]), sign))
-            elif list(op.terms) != keys:
-                raise ValueError("operators of one sandwich table must share their key order")
-            else:
-                for row in rows.values():
-                    row += (0.0, 0.0)
-            for c, slot in zip(op.terms.values(), slots):
-                if slot is not None:
-                    row, shifted, sign = slot
-                    row[col] += half_p * c
-                    row[col + 1] += half_m * c
-                    shifted[col] += shift_p * c * sign
-                    shifted[col + 1] += shift_m * c * sign
-            col += len(OUTCOMES)
-            del op
-        for row in rows.values():
-            for j, c in enumerate(row):
-                if not abs(c) >= PRUNE_TOL:
-                    row[j] = None
-        return rows
-
-    def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
-        """M_k op M_k for one outcome: the outcome-k column of sandwiches((op,)),
-        for an op that depends on k or a polynomial identity."""
-        j = OUTCOMES.index(k)
-        return PauliPolynomial(
-            self.n_qubits, {key: row[j] for key, row in self.sandwiches((op,)).items() if row[j] is not None}
-        )
-
-    def sandwich_expectations(self, op: PauliPolynomial) -> dict[int, complex]:
-        """{k: <M_k op M_k>}: both outcomes from one sandwiches((op,)) table,
-        each key queried once."""
-        return dict(zip(OUTCOMES, self.backend.expect_columns(self.sandwiches((op,)).items(), len(OUTCOMES))))
+        ham = self.hamiltonian.terms
+        (shift, first), *rest = passes
+        if shift != (0, 0):
+            raise ValueError("the first pass, which H joins, must be unshifted")
+        passes = [(shift, (ham.values(), *first)), *rest]
+        values = [self.backend.expect_columns(table, len(OUTCOMES) * len(columns))
+                  for table, (_, columns) in zip(self.sandwiches(ham, passes), passes)]
+        h, values[0] = values[0][:len(OUTCOMES)], values[0][len(OUTCOMES):]
+        # the value measured_energies would compute: the same column, summed in the same order
+        self.__dict__.setdefault("measured_energies", {k: v.real for k, v in zip(OUTCOMES, h)})
+        return values
 
     @cached_property
     def measured_energies(self) -> dict[int, float]:
@@ -308,12 +254,22 @@ class ProtocolSystem:
 
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
-    """sum_k <M_k O M_k> per labelled Hamiltonian term O; unmatched labels raise ValueError."""
-    n = system.n_qubits
-    return {
-        label: sum(v.real for v in system.sandwich_expectations(PauliPolynomial(n, {key: 1 + 0j})).values())
-        for label, key in zip(system.term_labels, system.hamiltonian.terms, strict=True)
-    }
+    """sum_k <M_k O M_k> per labelled Hamiltonian term O; unmatched labels raise ValueError.
+
+    O is the bare term, coefficient 1, so its table has at most the two rows
+    that sandwiches would give it: O and S O, with |coefficients| = 1/2
+    (none pruned).  They go straight to the backend, one query per term.
+    """
+    one = 1 + 0j
+    weights = system.kraus_weights
+    own = [0.0 + half * one for half, _ in weights]
+    shifted = {sign: [0.0 + shift * one * sign for _, shift in weights] for sign in (1.0, -1.0)}
+    profile = {}
+    for label, key in zip(system.term_labels, system.hamiltonian.terms, strict=True):
+        hit = system.partner(key)
+        rows = () if hit is None else ((key, own), (hit[0], shifted[hit[1]]))
+        profile[label] = sum(v.real for v in system.backend.expect_columns(rows, len(OUTCOMES)))
+    return profile
 
 
 def direct_energy(system: ProtocolSystem, locc: LoccChoice) -> EnergyReport:

@@ -1,7 +1,8 @@
 """Grid search and quadratic response surface against the direct sandwich path."""
 
+import dataclasses
+import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from toricqet.optimize import (
     fibonacci_sphere,
     optimize_locc,
     optimize_system,
+    product_coefficients,
     _lowest,
 )
 from toricqet.protocol import (
@@ -34,6 +36,7 @@ from toricqet.protocol import (
     energy_after_locc,
     locc_unitary,
     outcome_params,
+    post_measurement_profile,
     sigma_poly,
     target_commutator,
 )
@@ -242,22 +245,46 @@ def family_operators(system, family):
     return [sigmas[i].mul(system.hamiltonian).mul(sigmas[j]) for i, j in family]
 
 
-def assert_table_columns(system, ops):
-    """Each op's columns in the shared table sandwiches(ops) are its own
-    sandwiches((op,)) table's, bit for bit, and so are their expectations from
-    one expect_columns call."""
+def one_term_sigmas(system):
+    return [next(iter(sigma_poly(system.n_qubits, system.target, a).terms.items())) for a in AXIS_NAMES]
+
+
+def response_passes(system):
+    """The passes QuadraticResponse hands hamiltonian_sandwiches: one per key
+    family, with the family's shift t_ij and its product_coefficients columns."""
+    sigmas = one_term_sigmas(system)
+    per_term = product_coefficients(system, sigmas)
+    passes = []
+    for family in KEY_FAMILIES:
+        ((xi, zi), _), ((xj, zj), _) = (sigmas[a] for a in family[0])
+        passes.append(((xi ^ xj, zi ^ zj), [[t[3 * i + j] for t in per_term] for i, j in family]))
+    return passes
+
+
+def own_table(system, op):
+    """op's own one-pass sandwiches table, as a list of (key, row)."""
+    return list(next(system.sandwiches(op.terms, (((0, 0), (op.terms.values(),)),))))
+
+
+def assert_pass_columns(system, keys, passes, products):
+    """Each column of each table that sandwiches(keys, passes) fills is, bit
+    for bit, the own table of its product polynomial (products[p][c]), and so
+    are their expectations from one expect_columns call per table."""
     width = len(OUTCOMES)
-    table = system.sandwiches(iter(ops))
-    values = system.backend.expect_columns(table.items(), width * len(ops))
-    for t, op in enumerate(ops):
-        own = system.sandwiches((op,))
-        assert list(table) == list(own)
-        for row, own_row in zip(table.values(), own.values()):
-            assert [c if c is None else value_bits(c) for c in row[width * t:width * (t + 1)]] == [
-                c if c is None else value_bits(c) for c in own_row]
-        want = system.sandwich_expectations(op)
-        for j, k in enumerate(OUTCOMES):
-            assert value_bits(values[width * t + j]) == value_bits(want[k])
+    tables = system.sandwiches(keys, passes)
+    for (_, columns), ops, table in zip(passes, products, tables, strict=True):
+        assert len(columns) == len(ops)
+        rows = list(table)  # the next pass refills these rows
+        values = system.backend.expect_columns(rows, width * len(ops))
+        for c, op in enumerate(ops):
+            own = own_table(system, op)
+            assert [key for key, _ in rows] == [key for key, _ in own]
+            for (_, row), (_, own_row) in zip(rows, own):
+                assert [v if v is None else value_bits(v) for v in row[width * c:width * (c + 1)]] == [
+                    v if v is None else value_bits(v) for v in own_row]
+            want = system.sandwich_expectations(op)
+            for j, k in enumerate(OUTCOMES):
+                assert value_bits(values[width * c + j]) == value_bits(want[k])
 
 
 class TestBothOutcomesInOnePass:
@@ -309,16 +336,17 @@ class TestBothOutcomesInOnePass:
             n, [(star, 1.0), (string_product(scheme.operator(), star), -(1.0 + 2.0 ** -44)), (plaquette, 0.25)])
         for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
             system = ProtocolSystem.from_toric(lat2, scheme, backend)
-            rows = system.sandwiches((op,))
+            rows = dict(own_table(system, op))
             assert sum(row[0] is None and row[1] is not None for row in rows.values()) == 2
             self._assert_per_outcome(system, op)
             # in a two-operator table, next to an op with the same keys that keeps them all
             kept = PauliPolynomial(n, {key: 1.0 + 0j for key in op.terms})
             for ops, t in (([op, kept], 0), ([kept, op], 1)):
-                rows = system.sandwiches(iter(ops))
+                passes = [((0, 0), [o.terms.values() for o in ops])]
+                rows = dict(next(system.sandwiches(op.terms, passes)))
                 assert sum(row[2 * t] is None and row[2 * t + 1] is not None for row in rows.values()) == 2
                 assert not any(row[2 - 2 * t] is None for row in rows.values())
-                assert_table_columns(system, ops)
+                assert_pass_columns(system, op.terms, passes, [ops])
             # what is left under M_+ is M_+ B M_+ / 4 = (B + B S) / 8, and <B S> = 0;
             # the pruned keys would add 2^-45 <A> = 2.8e-14 to it
             assert system.sandwich_expectations(op)[1] == pytest.approx(0.125, abs=1e-15)
@@ -326,8 +354,8 @@ class TestBothOutcomesInOnePass:
 
 class TestOneReductionPerKey:
     """Each key of a sandwich table is reduced once, not once per outcome and
-    operator: one table for H, one per commutator, and one per key family of
-    the nine sigma^i H sigma^j."""
+    operator: one table per commutator, one for H with the three diagonal
+    sigma^i H sigma^i, and one per off-diagonal key family."""
 
     def test_response_at_l8(self, monkeypatch):
         lat = ToricLattice(8, 127)
@@ -335,8 +363,9 @@ class TestOneReductionPerKey:
         ops = response_operators(system)
         per_outcome = [set(system.sandwich(op, k).terms) for op in ops for k in OUTCOMES]
         per_op = [plus | minus for plus, minus in zip(per_outcome[::2], per_outcome[1::2])]
-        # sigma^i H sigma^j is ops[4 + 3 i + j]
-        tables = [[0], [1], [2], [3], *([4 + 3 * i + j for i, j in family] for family in KEY_FAMILIES)]
+        # sigma^i H sigma^j is ops[4 + 3 i + j]; H (ops[0]) joins the diagonal family
+        families = [[4 + 3 * i + j for i, j in family] for family in KEY_FAMILIES]
+        tables = [[1], [2], [3], [0, *families[0]], *families[1:]]
         keys = [set().union(*(per_op[t] for t in table)) for table in tables]
         reduce = StabilizerGroup._reduce
         calls = []
@@ -347,24 +376,69 @@ class TestOneReductionPerKey:
 
         monkeypatch.setattr(StabilizerGroup, "_reduce", counted)
         QuadraticResponse(system)
-        assert len(calls) == sum(map(len, keys))
+        assert len(calls) == sum(map(len, keys)) == 1016
         # one reduction per key and outcome would be sum(map(len, per_outcome)),
         # one per key and operator about half that
-        assert len(calls) <= 0.27 * sum(map(len, per_outcome))
+        assert len(calls) <= 0.21 * sum(map(len, per_outcome))
+
+    def test_no_key_of_h_queried_twice(self, monkeypatch):
+        # measured_energies, read after the response as every scan reads it,
+        # comes from the response's own pass over H's keys
+        lat = ToricLattice(8, 127)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        h_keys = set(system.sandwich(system.hamiltonian, 1).terms) | set(system.sandwich(system.hamiltonian, -1).terms)
+        queried = []
+        columns = StabilizerGroup.column_expectations
+
+        def recorded(group, rows, width):
+            rows = list(rows)
+            queried.extend(key for key, _ in rows)
+            return columns(group, rows, width)
+
+        monkeypatch.setattr(StabilizerGroup, "column_expectations", recorded)
+        QuadraticResponse(system)
+        before = len(queried)
+        assert system.injected_energy == pytest.approx(2.0)
+        assert len(queried) == before
+        assert all(queried.count(key) == 1 for key in h_keys)
 
 
 class TestKeyFamilyTables:
-    """One sandwiches table for several operators that share a key order."""
+    """The response's passes over H's slots: every coefficient and every
+    column is that of the whole-H product sigma^i H sigma^j, bit for bit."""
 
-    def _assert_system(self, system, seed):
-        for family in KEY_FAMILIES:
-            assert_table_columns(system, family_operators(system, family))
-        # merging keys (a and S a both terms), with independent coefficients per op
-        rng = np.random.default_rng(seed)
-        op = random_polynomial(rng, system.measured, 30)
-        others = [PauliPolynomial(op.n_qubits, {key: complex(rng.standard_normal()) for key in op.terms})
-                  for _ in range(2)]
-        assert_table_columns(system, [op, *others])
+    def _assert_system(self, system, seed=None):
+        sigmas = one_term_sigmas(system)
+        per_term = product_coefficients(system, sigmas)
+        products = {}
+        for i, j in itertools.product(range(3), repeat=2):
+            prod, = family_operators(system, ((i, j),))
+            products[i, j] = prod
+            (xi, zi), (xj, zj) = sigmas[i][0], sigmas[j][0]
+            assert list(prod.terms) == [(x ^ xi ^ xj, z ^ zi ^ zj) for x, z in system.hamiltonian.terms]
+            assert [value_bits(c) for c in prod.terms.values()] == [value_bits(t[3 * i + j]) for t in per_term]
+        passes = response_passes(system)
+        families = [[products[pair] for pair in family] for family in KEY_FAMILIES]
+        assert_pass_columns(system, system.hamiltonian.terms, passes, families)
+        # H joins the first pass; its values are the measured energies
+        fresh = dataclasses.replace(system)
+        values = fresh.hamiltonian_sandwiches(passes)
+        for family, ops, got in zip(KEY_FAMILIES, families, values, strict=True):
+            want = [system.sandwich_expectations(op)[k] for op in ops for k in OUTCOMES]
+            assert [value_bits(v) for v in got] == [value_bits(v) for v in want]
+        assert [value_bits(v) for v in fresh.measured_energies.values()] == [
+            value_bits(v) for v in system.measured_energies.values()]
+        if seed is not None:
+            # merging keys (a and S a both terms), independent coefficients per column, shifted by a key on the target
+            rng = np.random.default_rng(seed)
+            op = random_polynomial(rng, system.measured, 30)
+            cols = [list(op.terms.values()), *([complex(rng.standard_normal()) for _ in op.terms] for _ in range(2))]
+            t = sigmas[0][0]
+            passes = [((0, 0), cols), (t, cols[1:])]
+            products = [[PauliPolynomial(op.n_qubits, dict(zip(op.terms, col))) for col in cols],
+                        [PauliPolynomial(op.n_qubits, {(x ^ t[0], z ^ t[1]): c for (x, z), c in zip(op.terms, col)})
+                         for col in cols[1:]]]
+            assert_pass_columns(system, op.terms, passes, products)
 
     @pytest.mark.parametrize("L,seed", [(2, 211), (3, 223)])
     def test_random_schemes_both_engines(self, L, seed):
@@ -373,40 +447,63 @@ class TestKeyFamilyTables:
 
     def test_high_edge_stabilizer(self):
         lat = ToricLattice(8, 127)
-        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
-        for family in KEY_FAMILIES:
-            assert_table_columns(system, family_operators(system, family))
+        self._assert_system(ProtocolSystem.from_toric(lat, lat.full_region_scheme()))
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_six_site_chain(self, axis):
         self._assert_system(protocol_system(build_chain(6, 0.7, 1.3, 2), axis), 229)
 
-    def test_one_operator_alive_at_a_time(self):
-        # a generator of whole-H products: how many earlier ones are still
-        # alive when the next is drawn (enumerate's reused tuple would keep one)
-        system = protocol_system(build_chain(6, 0.7, 1.3, 2), "y")
-        refs, alive = [], []
+    @pytest.mark.parametrize("coupling,field", [(0.5, 1e10), (0.0, 1.0)])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_extreme_chains(self, axis, coupling, field):
+        self._assert_system(protocol_system(build_chain(3, coupling, field, 0, 1), axis), 233)
 
-        def draw():
-            for pair in KEY_FAMILIES[0]:
-                alive.append(sum(ref() is not None for ref in refs))
-                op, = family_operators(system, (pair,))
-                refs.append(weakref.ref(op))
-                yield op
-                del op
-
-        system.sandwiches(draw())
-        assert alive == [0, 0, 0]
-
-    def test_key_orders_must_match(self):
+    def test_first_pass_must_be_unshifted(self):
         system = protocol_system(build_chain(4, 0.7, 1.3, 1), "y")
-        ham = system.hamiltonian
-        diagonal, crossed = family_operators(system, ((0, 0), (0, 1)))
-        reordered = PauliPolynomial(ham.n_qubits, dict(reversed(ham.terms.items())))
-        shorter = PauliPolynomial(ham.n_qubits, dict(list(ham.terms.items())[1:]))
-        for ops in ([diagonal, crossed], [ham, reordered], [ham, shorter], [shorter, ham]):
-            with pytest.raises(ValueError, match="key order"):
-                system.sandwiches(iter(ops))
+        passes = response_passes(system)
+        with pytest.raises(ValueError, match="unshifted"):
+            system.hamiltonian_sandwiches(passes[1:])
+
+    def test_no_whole_h_operand(self, monkeypatch):
+        lat = ToricLattice(8, 127)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
+        sizes = []
+        mul = PauliPolynomial.mul
+
+        def recorded(left, right):
+            sizes.append(max(len(left.terms), len(right.terms)))
+            return mul(left, right)
+
+        monkeypatch.setattr(PauliPolynomial, "mul", recorded)
+        QuadraticResponse(system)
+        assert sizes and max(sizes) < len(system.hamiltonian.terms)
+
+
+class TestProfileRows:
+    """post_measurement_profile sends each term's two rows straight to the
+    backend; each value is, bit for bit, sum_k <M_k O M_k> from O's own table."""
+
+    @staticmethod
+    def _assert_profile(system):
+        got = post_measurement_profile(system)
+        n = system.n_qubits
+        want = [sum(v.real for v in system.sandwich_expectations(PauliPolynomial(n, {key: 1 + 0j})).values())
+                for key in system.hamiltonian.terms]
+        assert list(got) == list(system.term_labels)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("L,seed", [(2, 239), (3, 241)])
+    def test_random_schemes_both_engines(self, L, seed):
+        for system in random_toric_systems(L, 2, seed):
+            self._assert_profile(system)
+
+    def test_high_edge_stabilizer(self):
+        lat = ToricLattice(8, 127)
+        self._assert_profile(ProtocolSystem.from_toric(lat, lat.full_region_scheme()))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_six_site_chain(self, axis):
+        self._assert_profile(protocol_system(build_chain(6, 0.7, 1.3, 2), axis))
 
 
 class TestExactMinimum:
