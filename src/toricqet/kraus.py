@@ -1,4 +1,4 @@
-"""Kraus sandwiches M_k P M_k of the protocol's measurement, both outcomes per table.
+"""Kraus sandwiches <M_k P M_k> of the protocol's measurement, both outcomes per pass.
 
 The measurement of a Hermitian string S has the Kraus projectors
 M_k = (I + kS)/2, k in OUTCOMES.  A term a of P that anticommutes with S
@@ -6,13 +6,13 @@ drops out of M_k P M_k, and one that commutes adds h_k a + s_k sign S a.
 Both outcomes share the keys a and S a, so one pass over P's terms builds
 them both, one coefficient per outcome.  `KrausSandwiches.sandwiches`
 hashes one key order into one slot per term (the rows of a and S a, and
-the sign), and fills one table per pass through those slots.  A pass may
-shift every key by one key t on the target: S never touches the target,
-so a xor t keeps a's slot.  The backend's column kernel reads a table
-once: a query costs one engine lookup per key, not one per key, outcome
-and operator.  `sandwich_expectations` is the one-operator query;
-`sandwich(op, k)` is kept for operators that depend on k and for the
-polynomial identities the checks compare.
+the sign), fills one table per pass through those slots, and returns the
+pass's expectations.  A pass may shift every key by one key t on the
+target: S never touches the target, so a xor t keeps a's slot.  The
+backend's column kernel reads a table once: a query costs one engine
+lookup per key, not one per key, outcome and operator.
+`sandwich_expectations` is the one-operator query, and
+`bare_term_expectations` gives the post-measurement profile's rows.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .pauli import PRUNE_TOL, PauliPolynomial, TermRow
+from .pauli import PRUNE_TOL, PauliPolynomial
 
 OUTCOMES = (1, -1)
 
 
 class KrausSandwiches:
-    """The sandwich tables of a system with `measured` (S, a Hermitian string
-    off the target), `n_qubits` and a ground-state `backend`."""
+    """The Kraus sandwich expectations of a system with `measured` (S, a
+    Hermitian string off the target), `n_qubits` and a ground-state `backend`."""
 
     @cached_property
     def m_ops(self) -> dict[int, PauliPolynomial]:
@@ -52,22 +52,22 @@ class KrausSandwiches:
 
     def sandwiches(
         self, keys: Iterable[tuple[int, int]], passes: Iterable[tuple[tuple[int, int], Sequence[Iterable[complex]]]]
-    ) -> Iterator[Iterable[TermRow]]:
-        """Tables of M_k P M_k, both outcomes, for operators P on one key order.
+    ) -> list[list[complex]]:
+        """<M_k P M_k>, both outcomes, for operators P on one key order: one
+        list of values per pass.
 
         `keys` are the term keys a of a polynomial, in its order.  They are
         hashed once, into one slot per term: None where a anticommutes with S
         (it drops out), else the row of a, the row of S a and the sign of
-        S a.  Each pass (t, columns) then fills the table through those
-        slots, with no hashing.  Column c of a pass, coefficients in key
-        order, stands for P = sum_a c_a (a xor t), where t acts only off S's
+        S a.  Each pass (t, columns) then fills one table through those
+        slots, with no hashing, and the backend reads it in one
+        expect_columns call.  Column c of a pass, coefficients in key order,
+        stands for P = sum_a c_a (a xor t), where t acts only off S's
         support (a key on the target); a xor t has a's slot, shifted by t.
-        Each P gets one coefficient per outcome (OUTCOMES order), None where
-        it falls below PRUNE_TOL.  A table yields (key xor t, row) in row
-        order, and column 2c + j of it has the keys, key order and
-        coefficient bits of m_ops[k].mul(P).mul(m_ops[k]) for
-        k = OUTCOMES[j].  The passes fill one table in place, as each is
-        drawn, so a table is valid until the next one is drawn.
+        The table holds, for each P and outcome, the keys, key order and
+        coefficient bits of m_ops[k].mul(P).mul(m_ops[k]), pruned below
+        PRUNE_TOL, so value 2c + j of a pass is that product's
+        expectation for k = OUTCOMES[j].
         """
         rows: dict[tuple[int, int], list] = {}
         slots = []
@@ -78,6 +78,7 @@ class KrausSandwiches:
             else:
                 slots.append((rows.setdefault(key, []), rows.setdefault(hit[0], []), hit[1]))
         (half_p, shift_p), (half_m, shift_m) = self.kraus_weights
+        values = []
         for (tx, tz), columns in passes:
             zeros = [0.0] * (len(OUTCOMES) * len(columns))
             for row in rows.values():
@@ -94,18 +95,27 @@ class KrausSandwiches:
                 for j, c in enumerate(row):
                     if not abs(c) >= PRUNE_TOL:
                         row[j] = None
-            yield zip(((x ^ tx, z ^ tz) for x, z in rows), rows.values()) if tx | tz else rows.items()
-
-    def _table(self, op: PauliPolynomial) -> Iterable[TermRow]:
-        table, = self.sandwiches(op.terms, (((0, 0), (op.terms.values(),)),))
-        return table
-
-    def sandwich(self, op: PauliPolynomial, k: int) -> PauliPolynomial:
-        """M_k op M_k for one outcome: the outcome-k column of op's sandwiches
-        table, for an op that depends on k or a polynomial identity."""
-        j = OUTCOMES.index(k)
-        return PauliPolynomial(self.n_qubits, {key: row[j] for key, row in self._table(op) if row[j] is not None})
+            table = zip(((x ^ tx, z ^ tz) for x, z in rows), rows.values()) if tx | tz else rows.items()
+            values.append(self.backend.expect_columns(table, len(zeros)))
+        return values
 
     def sandwich_expectations(self, op: PauliPolynomial) -> dict[int, complex]:
         """{k: <M_k op M_k>}: both outcomes from one table, each key queried once."""
-        return dict(zip(OUTCOMES, self.backend.expect_columns(self._table(op), len(OUTCOMES))))
+        values, = self.sandwiches(op.terms, (((0, 0), (op.terms.values(),)),))
+        return dict(zip(OUTCOMES, values))
+
+    def bare_term_expectations(self, keys: Iterable[tuple[int, int]]) -> Iterator[float]:
+        """sum_k <M_k a M_k> for each bare term a = X^x Z^z (coefficient 1), in order.
+
+        a's table has at most the two rows `sandwiches` would give it: a and
+        S a, with |coefficients| = 1/2 (none pruned).  They are built here
+        with its float operations and go straight to the backend, one query
+        per term, without a `sandwiches` call per term.
+        """
+        one = 1 + 0j
+        own = [0.0 + half * one for half, _ in self.kraus_weights]
+        shifted = {sign: [0.0 + shift * one * sign for _, shift in self.kraus_weights] for sign in (1.0, -1.0)}
+        for key in keys:
+            hit = self.partner(key)
+            rows = () if hit is None else ((key, own), (hit[0], shifted[hit[1]]))
+            yield sum(v.real for v in self.backend.expect_columns(rows, len(OUTCOMES)))

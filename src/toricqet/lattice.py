@@ -20,6 +20,7 @@ east edges of column 0 and the south edges of row 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -67,9 +68,11 @@ class ToricLattice:
     """Geometry, Hamiltonian, and ground-state groups for one lattice size."""
 
     def __init__(self, L: int, bob_qubit: int = 0):
+        if not (isinstance(L, numbers.Integral) and isinstance(bob_qubit, numbers.Integral)):
+            raise ValueError(f"L and bob_qubit must be integers, not {L!r} and {bob_qubit!r}")
         if L < 2:
             raise ValueError("L must be at least 2")
-        self.L = int(L)
+        self.L = L = int(L)
         self.n_qubits = 2 * L * L
         if self.n_qubits > LATTICE_QUBIT_LIMIT:
             raise CapacityError(f"L={L} has {self.n_qubits} qubits, over the lattice limit of {LATTICE_QUBIT_LIMIT}")

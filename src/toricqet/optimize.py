@@ -10,18 +10,20 @@ outcome k the response precomputes
 
 H_t holds the terms on the target, the only ones sigma^i fails to commute
 with; the sigmas commute with M_k, since S never touches the target.  Both
-outcomes of an operator come from one pass over its terms
-(`ProtocolSystem.sandwiches`).  No product sigma^i H sigma^j is built: for
-a term a of H, sigma^i a sigma^j = c' (a xor t_ij), with t_ij the key of
-sigma^i sigma^j on the target and c' a function of a's coefficient and its
-bits at the target (`product_coefficients`).  So each W column is H's
-table with its keys XORed by t_ij and its own coefficients, read from the
-slots H's keys hash to once (`ProtocolSystem.hamiltonian_sandwiches`).
-The nine columns take four passes (KEY_FAMILIES): H with the three
-diagonal products (t = 0), whose H column gives h_k, then (x,y), (x,z) and
-(y,z), since (i, j) shares t with (j, i).  The response costs one engine
-lookup per key of seven tables: the three commutators (a few keys each)
-and the four passes (about |H| keys each).
+outcomes of an operator come from one pass over its terms, which returns
+their expectations (`ProtocolSystem.sandwiches`).  No product
+sigma^i H sigma^j is built: for a term a of H, sigma^i a sigma^j =
+c' (a xor t_ij), with t_ij the key of sigma^i sigma^j on the target and c'
+a function of a's coefficient and its bits at the target, one
+PauliPolynomial.mul product per such class (`product_coefficients`).  So
+each W column is H's table with its keys XORed by t_ij and its own
+coefficients, read from the slots H's keys hash to once
+(`ProtocolSystem.hamiltonian_sandwiches`).  The nine columns take four
+passes (KEY_FAMILIES): H with the three diagonal products (t = 0), whose
+H column gives h_k, then (x,y), (x,z) and (y,z), since (i, j) shares t
+with (j, i).  The response costs one engine lookup per key of seven
+tables: the three commutators (a few keys each) and the four passes
+(about |H| keys each).
 Then, with the unit 4-vector w = (cos theta, sin theta n),
 
     delta_k = w^T K_k w,   K_k = [[0, r_k^T / 2], [r_k / 2, sym(Re W_k) - h_k I]],
@@ -46,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import MeasurementScheme, ToricLattice
+from .pauli import PauliPolynomial
 from .protocol import AXIS_NAMES, OUTCOMES, LoccChoice, LoccParams, ProtocolSystem, sigma_poly, target_commutator
 
 CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -101,17 +104,17 @@ class QuadraticResponse:
 
     def __init__(self, system: ProtocolSystem):
         self.system = system
-        # each sigma^i as its one term (key, coefficient)
-        sigmas = [next(iter(sigma_poly(system.n_qubits, system.target, a).terms.items())) for a in AXIS_NAMES]
+        sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
         comms = [system.sandwich_expectations(target_commutator(system, axis)) for axis in CANONICAL_AXES]
         c = {k: np.array([comm[k] for comm in comms], dtype=complex) for k in OUTCOMES}
         w = {k: np.zeros((3, 3), dtype=complex) for k in OUTCOMES}
         per_term = product_coefficients(system, sigmas)
-        passes = []
-        for family in KEY_FAMILIES:
-            ((xi, zi), _), ((xj, zj), _) = (sigmas[a] for a in family[0])
-            passes.append(((xi ^ xj, zi ^ zj), [map(itemgetter(3 * i + j), per_term) for i, j in family]))
-        for family, values in zip(KEY_FAMILIES, system.hamiltonian_sandwiches(passes)):
+        diagonal, *off_diagonal = ([map(itemgetter(3 * i + j), per_term) for i, j in family] for family in KEY_FAMILIES)
+        shifted = []
+        for ((i, j), _), columns in zip(KEY_FAMILIES[1:], off_diagonal):
+            (xi, zi), (xj, zj) = next(iter(sigmas[i].terms)), next(iter(sigmas[j].terms))
+            shifted.append(((xi ^ xj, zi ^ zj), columns))
+        for family, values in zip(KEY_FAMILIES, system.hamiltonian_sandwiches(diagonal, shifted)):
             for ((i, j), k), value in zip(itertools.product(family, OUTCOMES), values):
                 w[k][i, j] = value
         # Shared-ansatz aggregates: quadratic form and linear coefficient.
@@ -176,15 +179,15 @@ class OptimizeResult:
         return "; ".join(f"k={k:+d}: {describe(self.witness[k])}" for k in sorted(self.witness, reverse=True))
 
 
-def product_coefficients(system: ProtocolSystem, sigmas) -> list[tuple[complex, ...]]:
+def product_coefficients(system: ProtocolSystem, sigmas: list[PauliPolynomial]) -> list[tuple[complex, ...]]:
     """Per term a of H, in H's order, the coefficients of sigma^i a sigma^j,
-    (i, j) row-major, each sigma a one-term (key, coefficient) on the target.
+    (i, j) row-major, each sigma a one-term polynomial on the target.
 
     sigma^i a sigma^j = c' (a xor t_ij), and c' depends only on a's
     coefficient and its x and z bits at the target, so it is computed once
-    per such class.  It takes PauliPolynomial.mul's float operations, so it
-    has the bits of that term of sigma^i.mul(H).mul(sigma^j): mul's
-    `acc.get(key, 0.0) +` is the `0.0 +` here, which also clears signed
+    per such class, as sigmas[i].mul(a).mul(sigmas[j]) of the class's first
+    term.  Each product term has one contribution, so c' has the bits of
+    that term of sigma^i.mul(H).mul(sigma^j); mul's `0.0 +` clears signed
     zeros, so coefficients that compare equal share a class.
     """
     t = system.target
@@ -194,16 +197,10 @@ def product_coefficients(system: ProtocolSystem, sigmas) -> list[tuple[complex, 
         cls = (c, (x >> t) & 1, (z >> t) & 1)
         coeffs = memo.get(cls)
         if coeffs is None:
-            coeffs = memo[cls] = tuple(_product_coefficient(c, x, z, si, sj) for si in sigmas for sj in sigmas)
+            term = PauliPolynomial(system.n_qubits, {(x, z): c})
+            coeffs = memo[cls] = tuple(next(iter(si.mul(term).mul(sj).terms.values())) for si in sigmas for sj in sigmas)
         per_term.append(coeffs)
     return per_term
-
-
-def _product_coefficient(c: complex, x: int, z: int, left, right) -> complex:
-    (_, zl), cl = left
-    (xr, _), cr = right
-    inner = 0.0 + cl * c * (-1.0 if (zl & x).bit_count() & 1 else 1.0)
-    return 0.0 + inner * cr * (-1.0 if ((zl ^ z) & xr).bit_count() & 1 else 1.0)
 
 
 def _lowest(form: np.ndarray, noise: float = 0.0) -> tuple[float, LoccParams]:

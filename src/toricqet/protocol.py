@@ -16,10 +16,10 @@ toric code on either engine and the chain run the identical code path.
 Two local facts keep that algebra small: M_k = (I + kS)/2 sandwiches a
 polynomial in one pass over its terms, and U_k acts on the target alone
 (E_B - E_A = sum_k <M_k (U_k^dag H_t U_k - H_t) M_k>, H_t the terms there).
-The Kraus sandwiches M_k P M_k, both outcomes from one table, come from
-`KrausSandwiches` (kraus.py), which ProtocolSystem extends.  The response
-reads the nine sigma^i H sigma^j from H's own slots
-(`hamiltonian_sandwiches`), with H in the first pass.
+Every <M_k P M_k>, both outcomes from one table, comes from
+`KrausSandwiches` (kraus.py), which ProtocolSystem extends; so do the
+profile's rows.  The response reads the nine sigma^i H sigma^j from H's own
+slots (`hamiltonian_sandwiches`), with H among the unshifted columns.
 """
 
 from __future__ import annotations
@@ -52,16 +52,19 @@ class LoccParams:
     def __post_init__(self):
         if len(self.axis) != 3:
             raise ValueError("axis must have three components")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta {self.theta!r} is not finite")
         norm = math.sqrt(sum(c * c for c in self.axis))
-        if abs(norm - 1.0) > AXIS_TOL:
+        # not <=, so that a NaN norm fails too
+        if not abs(norm - 1.0) <= AXIS_TOL:
             raise ValueError(f"axis norm {norm!r} is not 1")
         object.__setattr__(self, "axis", tuple(float(c) for c in self.axis))
 
     @classmethod
     def from_direction(cls, theta: float, direction: Sequence[float]) -> "LoccParams":
         norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0.0:
-            raise ValueError("axis direction must be nonzero")
+        if not 0.0 < norm < math.inf:
+            raise ValueError("axis direction must be nonzero and finite")
         return cls(float(theta), tuple(c / norm for c in direction))
 
 
@@ -205,27 +208,22 @@ class ProtocolSystem(KrausSandwiches):
         )
 
     def hamiltonian_sandwiches(
-        self, passes: Sequence[tuple[tuple[int, int], Sequence[Iterable[complex]]]]
+        self, diagonal: Sequence[Iterable[complex]],
+        shifted: Iterable[tuple[tuple[int, int], Sequence[Iterable[complex]]]],
     ) -> list[list[complex]]:
-        """<M_k P M_k> for operators P on H's terms: per pass, the backend's
-        expect_columns values of the table sandwiches(H's keys, passes) fills.
+        """<M_k P M_k> for operators P on H's terms: the `sandwiches` values of
+        the unshifted columns `diagonal`, then those of each pass in `shifted`.
 
-        H itself joins the first pass, which must be unshifted, as its first
-        column; its values are the measured energies, so a response that
-        reads H's keys reduces each of them once, not once more for
-        `measured_energies`.  Returns each pass's values without H's.
+        H itself joins `diagonal` as its first column; its values are the
+        measured energies, so a response that reads H's keys reduces each
+        of them once, not once more for `measured_energies`.  Returns the
+        values without H's.
         """
         ham = self.hamiltonian.terms
-        (shift, first), *rest = passes
-        if shift != (0, 0):
-            raise ValueError("the first pass, which H joins, must be unshifted")
-        passes = [(shift, (ham.values(), *first)), *rest]
-        values = [self.backend.expect_columns(table, len(OUTCOMES) * len(columns))
-                  for table, (_, columns) in zip(self.sandwiches(ham, passes), passes)]
-        h, values[0] = values[0][:len(OUTCOMES)], values[0][len(OUTCOMES):]
+        first, *rest = self.sandwiches(ham, [((0, 0), (ham.values(), *diagonal)), *shifted])
         # the value measured_energies would compute: the same column, summed in the same order
-        self.__dict__.setdefault("measured_energies", {k: v.real for k, v in zip(OUTCOMES, h)})
-        return values
+        self.__dict__.setdefault("measured_energies", {k: v.real for k, v in zip(OUTCOMES, first)})
+        return [first[len(OUTCOMES):], *rest]
 
     @cached_property
     def measured_energies(self) -> dict[int, float]:
@@ -254,22 +252,9 @@ class ProtocolSystem(KrausSandwiches):
 
 
 def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
-    """sum_k <M_k O M_k> per labelled Hamiltonian term O; unmatched labels raise ValueError.
-
-    O is the bare term, coefficient 1, so its table has at most the two rows
-    that sandwiches would give it: O and S O, with |coefficients| = 1/2
-    (none pruned).  They go straight to the backend, one query per term.
-    """
-    one = 1 + 0j
-    weights = system.kraus_weights
-    own = [0.0 + half * one for half, _ in weights]
-    shifted = {sign: [0.0 + shift * one * sign for _, shift in weights] for sign in (1.0, -1.0)}
-    profile = {}
-    for label, key in zip(system.term_labels, system.hamiltonian.terms, strict=True):
-        hit = system.partner(key)
-        rows = () if hit is None else ((key, own), (hit[0], shifted[hit[1]]))
-        profile[label] = sum(v.real for v in system.backend.expect_columns(rows, len(OUTCOMES)))
-    return profile
+    """sum_k <M_k O M_k> per labelled Hamiltonian term O, the bare term
+    (`bare_term_expectations`); unmatched labels raise ValueError."""
+    return dict(zip(system.term_labels, system.bare_term_expectations(system.hamiltonian.terms), strict=True))
 
 
 def direct_energy(system: ProtocolSystem, locc: LoccChoice) -> EnergyReport:
@@ -289,7 +274,7 @@ def direct_energy(system: ProtocolSystem, locc: LoccChoice) -> EnergyReport:
     delta = 0.0
     for k in OUTCOMES:
         u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
-        delta += system.backend.expect(system.sandwich(u.adjoint().mul(ham_t).mul(u).sub(ham_t), k)).real
+        delta += system.sandwich_expectations(u.adjoint().mul(ham_t).mul(u).sub(ham_t))[k].real
     p = system.probabilities
     e_a = system.injected_energy
     shown = outcome_params(locc, 1)
@@ -477,11 +462,11 @@ def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: L
 
     # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
     worst = 0.0
-    for k in OUTCOMES:
+    for k, m in system.m_ops.items():
         u = locc_unitary(params, k, bob, n)
         u_dag = u.adjoint()
-        lhs = system.sandwich(u_dag.mul(ham_t).mul(u), k)
-        rhs = system.sandwich(ham_t, k) + system.sandwich(u_dag.mul(comm), k).scale(1j * k * s)
+        lhs = m.mul(u_dag.mul(ham_t).mul(u)).mul(m)
+        rhs = m.mul(ham_t).mul(m) + m.mul(u_dag.mul(comm)).mul(m).scale(1j * k * s)
         worst = max(worst, lhs.sub(rhs).max_abs_coeff(), u_dag.mul(u).sub(ident).max_abs_coeff())
     checks.append(Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst))
 

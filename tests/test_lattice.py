@@ -49,6 +49,16 @@ class TestIndexing:
         with pytest.raises(ValueError):
             ToricLattice(2).edge_index(0, 0, 2)
 
+    @pytest.mark.parametrize("L,bob", [(2.5, 0), (3.0, 0), (float("nan"), 0), (2, 1.5), (3, 2.0), ("3", 0)])
+    def test_non_integral_arguments(self, L, bob):
+        with pytest.raises(ValueError, match="must be integers"):
+            ToricLattice(L, bob_qubit=bob)
+
+    def test_integer_like_arguments(self):
+        lat = ToricLattice(np.int64(3), bob_qubit=np.int64(5))
+        assert (lat.L, lat.n_qubits, lat.bob_qubit) == (3, 18, 5)
+        assert type(lat.n_qubits) is int and type(lat.bob_qubit) is int
+
     def test_size_limit(self):
         assert ToricLattice(160).n_qubits == LATTICE_QUBIT_LIMIT
         with pytest.raises(CapacityError, match="51842 qubits"):

@@ -42,7 +42,7 @@ from toricqet.protocol import (
 )
 from toricqet.reports import write_sweep_csv
 from toricqet.statevector import ground_state
-from test_protocol import random_params, random_polynomial
+from test_protocol import assert_expectations_match_product, random_params, random_polynomial, value_bits
 
 
 def form_delta(resp: QuadraticResponse, locc) -> float:
@@ -228,11 +228,6 @@ class TestWholeGReference:
         self._assert_bytes_equal(protocol_system(build_chain(6, 0.7, 1.3, 2), axis))
 
 
-def value_bits(value: complex) -> tuple:
-    """The exact bits of a complex value (-0.0 != 0.0)."""
-    return value.real.hex(), value.imag.hex()
-
-
 def response_operators(system):
     """The operators a QuadraticResponse sandwiches: H, [H_t, sigma^i] and sigma^i H sigma^j."""
     sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
@@ -245,69 +240,43 @@ def family_operators(system, family):
     return [sigmas[i].mul(system.hamiltonian).mul(sigmas[j]) for i, j in family]
 
 
-def one_term_sigmas(system):
-    return [next(iter(sigma_poly(system.n_qubits, system.target, a).terms.items())) for a in AXIS_NAMES]
-
-
-def response_passes(system):
-    """The passes QuadraticResponse hands hamiltonian_sandwiches: one per key
+def response_columns(system):
+    """What QuadraticResponse hands hamiltonian_sandwiches: the unshifted
+    columns of the diagonal family, then one pass per off-diagonal key
     family, with the family's shift t_ij and its product_coefficients columns."""
-    sigmas = one_term_sigmas(system)
+    sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+    keys = [next(iter(sigma.terms)) for sigma in sigmas]
     per_term = product_coefficients(system, sigmas)
-    passes = []
-    for family in KEY_FAMILIES:
-        ((xi, zi), _), ((xj, zj), _) = (sigmas[a] for a in family[0])
-        passes.append(((xi ^ xj, zi ^ zj), [[t[3 * i + j] for t in per_term] for i, j in family]))
-    return passes
-
-
-def own_table(system, op):
-    """op's own one-pass sandwiches table, as a list of (key, row)."""
-    return list(next(system.sandwiches(op.terms, (((0, 0), (op.terms.values(),)),))))
+    diagonal, *off_diagonal = ([[t[3 * i + j] for t in per_term] for i, j in family] for family in KEY_FAMILIES)
+    shifted = []
+    for family, columns in zip(KEY_FAMILIES[1:], off_diagonal):
+        (xi, zi), (xj, zj) = (keys[a] for a in family[0])
+        shifted.append(((xi ^ xj, zi ^ zj), columns))
+    return diagonal, shifted
 
 
 def assert_pass_columns(system, keys, passes, products):
-    """Each column of each table that sandwiches(keys, passes) fills is, bit
-    for bit, the own table of its product polynomial (products[p][c]), and so
-    are their expectations from one expect_columns call per table."""
-    width = len(OUTCOMES)
-    tables = system.sandwiches(keys, passes)
-    for (_, columns), ops, table in zip(passes, products, tables, strict=True):
+    """Each value that sandwiches(keys, passes) returns is, bit for bit, the
+    backend's expectation of m.mul(op).mul(m) for its product polynomial
+    op = products[p][c] and outcome."""
+    got = system.sandwiches(keys, passes)
+    for (_, columns), ops, values in zip(passes, products, got, strict=True):
         assert len(columns) == len(ops)
-        rows = list(table)  # the next pass refills these rows
-        values = system.backend.expect_columns(rows, width * len(ops))
-        for c, op in enumerate(ops):
-            own = own_table(system, op)
-            assert [key for key, _ in rows] == [key for key, _ in own]
-            for (_, row), (_, own_row) in zip(rows, own):
-                assert [v if v is None else value_bits(v) for v in row[width * c:width * (c + 1)]] == [
-                    v if v is None else value_bits(v) for v in own_row]
-            want = system.sandwich_expectations(op)
-            for j, k in enumerate(OUTCOMES):
-                assert value_bits(values[width * c + j]) == value_bits(want[k])
+        want = [system.backend.expect(m.mul(op).mul(m)) for op in ops for m in system.m_ops.values()]
+        assert [value_bits(v) for v in values] == [value_bits(v) for v in want]
 
 
 class TestBothOutcomesInOnePass:
     """system.sandwich_expectations(op) builds and queries each key of
     M_k op M_k once for both outcomes; each value is bit for bit the
-    per-outcome query of the per-outcome sandwich."""
-
-    @staticmethod
-    def _assert_per_outcome(system, op):
-        got = system.sandwich_expectations(op)
-        assert list(got) == list(OUTCOMES)
-        for k in OUTCOMES:
-            m = system.m_ops[k]
-            want = system.backend.expect(system.sandwich(op, k))
-            assert value_bits(got[k]) == value_bits(want)
-            assert value_bits(want) == value_bits(system.backend.expect(m.mul(op).mul(m)))
+    expectation of the per-outcome product m.mul(op).mul(m)."""
 
     def _assert_system(self, system, seed):
         rng = np.random.default_rng(seed)
         # the profile's one-term operators, one per Hamiltonian term
         profile = [PauliPolynomial(system.n_qubits, {key: 1 + 0j}) for key in system.hamiltonian.terms]
         for op in [*response_operators(system), *profile, random_polynomial(rng, system.measured, 30)]:
-            self._assert_per_outcome(system, op)
+            assert_expectations_match_product(system, op)
 
     @pytest.mark.parametrize("L,seed", [(2, 191), (3, 193)])
     def test_random_schemes_both_engines(self, L, seed):
@@ -318,7 +287,7 @@ class TestBothOutcomesInOnePass:
         lat = ToricLattice(8, 127)
         system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
         for op in response_operators(system):
-            self._assert_per_outcome(system, op)
+            assert_expectations_match_product(system, op)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_six_site_chain(self, axis):
@@ -336,17 +305,13 @@ class TestBothOutcomesInOnePass:
             n, [(star, 1.0), (string_product(scheme.operator(), star), -(1.0 + 2.0 ** -44)), (plaquette, 0.25)])
         for backend in (StabilizerBackend(lat2.ground_group()), StatevectorBackend(gs2)):
             system = ProtocolSystem.from_toric(lat2, scheme, backend)
-            rows = dict(own_table(system, op))
-            assert sum(row[0] is None and row[1] is not None for row in rows.values()) == 2
-            self._assert_per_outcome(system, op)
-            # in a two-operator table, next to an op with the same keys that keeps them all
+            plus, minus = (m.mul(op).mul(m) for m in system.m_ops.values())
+            assert set(plus.terms) < set(minus.terms) and len(minus.terms) - len(plus.terms) == 2
+            assert_expectations_match_product(system, op)
+            # in a two-operator pass, next to an op with the same keys that keeps them all
             kept = PauliPolynomial(n, {key: 1.0 + 0j for key in op.terms})
-            for ops, t in (([op, kept], 0), ([kept, op], 1)):
-                passes = [((0, 0), [o.terms.values() for o in ops])]
-                rows = dict(next(system.sandwiches(op.terms, passes)))
-                assert sum(row[2 * t] is None and row[2 * t + 1] is not None for row in rows.values()) == 2
-                assert not any(row[2 - 2 * t] is None for row in rows.values())
-                assert_pass_columns(system, op.terms, passes, [ops])
+            for ops in ([op, kept], [kept, op]):
+                assert_pass_columns(system, op.terms, [((0, 0), [o.terms.values() for o in ops])], [ops])
             # what is left under M_+ is M_+ B M_+ / 4 = (B + B S) / 8, and <B S> = 0;
             # the pruned keys would add 2^-45 <A> = 2.8e-14 to it
             assert system.sandwich_expectations(op)[1] == pytest.approx(0.125, abs=1e-15)
@@ -361,7 +326,7 @@ class TestOneReductionPerKey:
         lat = ToricLattice(8, 127)
         system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
         ops = response_operators(system)
-        per_outcome = [set(system.sandwich(op, k).terms) for op in ops for k in OUTCOMES]
+        per_outcome = [set(m.mul(op).mul(m).terms) for op in ops for m in system.m_ops.values()]
         per_op = [plus | minus for plus, minus in zip(per_outcome[::2], per_outcome[1::2])]
         # sigma^i H sigma^j is ops[4 + 3 i + j]; H (ops[0]) joins the diagonal family
         families = [[4 + 3 * i + j for i, j in family] for family in KEY_FAMILIES]
@@ -386,7 +351,7 @@ class TestOneReductionPerKey:
         # comes from the response's own pass over H's keys
         lat = ToricLattice(8, 127)
         system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
-        h_keys = set(system.sandwich(system.hamiltonian, 1).terms) | set(system.sandwich(system.hamiltonian, -1).terms)
+        h_keys = set().union(*(m.mul(system.hamiltonian).mul(m).terms for m in system.m_ops.values()))
         queried = []
         columns = StabilizerGroup.column_expectations
 
@@ -408,21 +373,22 @@ class TestKeyFamilyTables:
     column is that of the whole-H product sigma^i H sigma^j, bit for bit."""
 
     def _assert_system(self, system, seed=None):
-        sigmas = one_term_sigmas(system)
+        sigmas = [sigma_poly(system.n_qubits, system.target, a) for a in AXIS_NAMES]
+        keys = [next(iter(sigma.terms)) for sigma in sigmas]
         per_term = product_coefficients(system, sigmas)
         products = {}
         for i, j in itertools.product(range(3), repeat=2):
             prod, = family_operators(system, ((i, j),))
             products[i, j] = prod
-            (xi, zi), (xj, zj) = sigmas[i][0], sigmas[j][0]
+            (xi, zi), (xj, zj) = keys[i], keys[j]
             assert list(prod.terms) == [(x ^ xi ^ xj, z ^ zi ^ zj) for x, z in system.hamiltonian.terms]
             assert [value_bits(c) for c in prod.terms.values()] == [value_bits(t[3 * i + j]) for t in per_term]
-        passes = response_passes(system)
+        diagonal, shifted = response_columns(system)
         families = [[products[pair] for pair in family] for family in KEY_FAMILIES]
-        assert_pass_columns(system, system.hamiltonian.terms, passes, families)
-        # H joins the first pass; its values are the measured energies
+        assert_pass_columns(system, system.hamiltonian.terms, [((0, 0), diagonal), *shifted], families)
+        # H joins the unshifted columns; its values are the measured energies
         fresh = dataclasses.replace(system)
-        values = fresh.hamiltonian_sandwiches(passes)
+        values = fresh.hamiltonian_sandwiches(diagonal, shifted)
         for family, ops, got in zip(KEY_FAMILIES, families, values, strict=True):
             want = [system.sandwich_expectations(op)[k] for op in ops for k in OUTCOMES]
             assert [value_bits(v) for v in got] == [value_bits(v) for v in want]
@@ -433,7 +399,7 @@ class TestKeyFamilyTables:
             rng = np.random.default_rng(seed)
             op = random_polynomial(rng, system.measured, 30)
             cols = [list(op.terms.values()), *([complex(rng.standard_normal()) for _ in op.terms] for _ in range(2))]
-            t = sigmas[0][0]
+            t = keys[0]
             passes = [((0, 0), cols), (t, cols[1:])]
             products = [[PauliPolynomial(op.n_qubits, dict(zip(op.terms, col))) for col in cols],
                         [PauliPolynomial(op.n_qubits, {(x ^ t[0], z ^ t[1]): c for (x, z), c in zip(op.terms, col)})
@@ -457,12 +423,6 @@ class TestKeyFamilyTables:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_extreme_chains(self, axis, coupling, field):
         self._assert_system(protocol_system(build_chain(3, coupling, field, 0, 1), axis), 233)
-
-    def test_first_pass_must_be_unshifted(self):
-        system = protocol_system(build_chain(4, 0.7, 1.3, 1), "y")
-        passes = response_passes(system)
-        with pytest.raises(ValueError, match="unshifted"):
-            system.hamiltonian_sandwiches(passes[1:])
 
     def test_no_whole_h_operand(self, monkeypatch):
         lat = ToricLattice(8, 127)

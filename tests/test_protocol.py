@@ -53,6 +53,21 @@ class TestLoccParams:
         p = LoccParams.from_direction(0.5, (3.0, 0.0, 4.0))
         assert p.axis == pytest.approx((0.6, 0.0, 0.8))
 
+    @pytest.mark.parametrize("theta,axis", [
+        (0.3, (math.nan, 0.0, 0.0)), (0.3, (math.inf, 0.0, 0.0)), (0.3, (1.0, math.nan, 0.0)),
+        (math.inf, (1.0, 0.0, 0.0)), (-math.inf, (0.0, 1.0, 0.0)), (math.nan, (0.0, 0.0, 1.0)),
+    ])
+    def test_non_finite_input_rejected(self, theta, axis):
+        with pytest.raises(ValueError):
+            LoccParams(theta, axis)
+
+    @pytest.mark.parametrize("theta,direction", [
+        (0.1, (math.inf, 0.0, 0.0)), (0.1, (1.0, math.nan, 0.0)), (math.nan, (0.0, 1.0, 0.0)),
+    ])
+    def test_non_finite_direction_rejected(self, theta, direction):
+        with pytest.raises(ValueError):
+            LoccParams.from_direction(theta, direction)
+
 
 class TestMeasurementOps:
     def test_projector_algebra(self, lat2):
@@ -261,11 +276,6 @@ class TestEnergyAfterLocc:
         assert "region A" in rep.scheme
 
 
-def coefficient_bits(poly: PauliPolynomial) -> list:
-    """Keys in order with the exact bits of each coefficient (-0.0 != 0.0)."""
-    return [(key, c.real.hex(), c.imag.hex()) for key, c in poly.terms.items()]
-
-
 def random_polynomial(rng, measured: PauliString, count: int) -> PauliPolynomial:
     """A Hermitian polynomial of random strings; about half of them come with
     their product with the measured string, so terms merge in the sandwich."""
@@ -282,20 +292,31 @@ def random_polynomial(rng, measured: PauliString, count: int) -> PauliPolynomial
     return PauliPolynomial.from_strings(n, weighted)
 
 
-class TestSandwich:
-    """system.sandwich(op, k) is bit for bit the product m.mul(op).mul(m)."""
+def value_bits(value: complex) -> tuple:
+    """The exact bits of a complex value (-0.0 != 0.0)."""
+    return value.real.hex(), value.imag.hex()
 
-    @staticmethod
-    def assert_matches_product(system, op):
-        for k in OUTCOMES:
-            m = system.m_ops[k]
-            assert coefficient_bits(system.sandwich(op, k)) == coefficient_bits(m.mul(op).mul(m))
+
+def assert_expectations_match_product(system, op):
+    """system.sandwich_expectations(op) is, outcome by outcome and bit for
+    bit, the backend's expectation of the product m.mul(op).mul(m)."""
+    got = system.sandwich_expectations(op)
+    assert list(got) == list(OUTCOMES)
+    for k, m in system.m_ops.items():
+        assert value_bits(got[k]) == value_bits(system.backend.expect(m.mul(op).mul(m)))
+
+
+class TestSandwich:
+    """The sandwich of the torus and chain Hamiltonians and of random
+    Hermitian polynomials: each value is that of the product m.mul(op).mul(m),
+    bit for bit (the check TestBothOutcomesInOnePass runs on the response's
+    operators)."""
 
     @pytest.mark.parametrize("L,bob", [(2, 0), (2, 5), (3, 0), (3, 17)])
     def test_torus_hamiltonian(self, L, bob):
         lat = ToricLattice(L, bob_qubit=bob)
         system = ProtocolSystem.from_toric(lat, lat.full_region_scheme())
-        self.assert_matches_product(system, system.hamiltonian)
+        assert_expectations_match_product(system, system.hamiltonian)
 
     def test_random_hermitian_polynomials(self, lat2, lat3):
         rng = np.random.default_rng(173)
@@ -305,14 +326,14 @@ class TestSandwich:
                 system = ProtocolSystem.from_toric(lat, scheme)
                 for count in (1, 5, 40):
                     op = random_polynomial(rng, system.measured, count)
-                    self.assert_matches_product(system, op)
+                    assert_expectations_match_product(system, op)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_chain_hamiltonian(self, axis):
         rng = np.random.default_rng(179)
         system = protocol_system(build_chain(6, site_a=2), axis)
-        self.assert_matches_product(system, system.hamiltonian)
-        self.assert_matches_product(system, random_polynomial(rng, system.measured, 30))
+        assert_expectations_match_product(system, system.hamiltonian)
+        assert_expectations_match_product(system, random_polynomial(rng, system.measured, 30))
 
 
 def reference_energy(system, locc) -> tuple[float, float]:
