@@ -63,6 +63,12 @@ class LoccParams:
     @classmethod
     def from_direction(cls, theta: float, direction: Sequence[float]) -> "LoccParams":
         norm = math.sqrt(sum(c * c for c in direction))
+        if norm in (0.0, math.inf):
+            # the squares under- or overflowed: divide by the largest component first
+            scale = max(map(abs, direction))
+            if 0.0 < scale < math.inf:
+                direction = [c / scale for c in direction]
+                norm = math.sqrt(sum(c * c for c in direction))
         if not 0.0 < norm < math.inf:
             raise ValueError("axis direction must be nonzero and finite")
         return cls(float(theta), tuple(c / norm for c in direction))

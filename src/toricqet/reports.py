@@ -3,16 +3,24 @@
 Only this module knows the sweep CSV column layout, part of the tool's
 contract and golden-file tested; floats are printed with 17 significant
 digits so runs reproduce byte-for-byte.
+
+The sweep CSV's E_B, delta and closed_form fields, three per grid point,
+go through ``floatfmt.format_fields``, one theta row of the grid at a time:
+numpy writes the bytes of ``'%.17g' % x``.  It is exact by construction (an
+exact two-product, an even integer hi, ties rounded half-to-even, Python's
+own formatting outside [1e-4, 1e16)); floatfmt's docstring has the argument.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
+
+from .floatfmt import FIELD_WIDTH, format_fields, padded
 
 SWEEP_COLUMNS = (
     "theta",
@@ -112,20 +120,35 @@ def format_float(x: float) -> str:
 
 
 def sweep_csv_lines(blocks: Iterable[tuple]):
-    """Yield the header, then one line per grid point of each (system, surface,
-    backend tag) block, theta-major: p_plus and E_A from a ``ProtocolSystem``,
-    the rest from an ``OptimizeResult``.  Each axis gets one %-template with
-    its axis, p_plus, E_A and backend fields formatted once; a row fills in
-    theta, E_B, delta and closed_form (%.17g is format_float's format)."""
+    """Yield the header, then, for each (system, surface, backend tag) block,
+    one text block per theta row of the grid: its lines, one per axis,
+    joined by newlines.  p_plus and E_A come from a ``ProtocolSystem``, the
+    rest from an ``OptimizeResult``.  The lines of a row are a byte matrix
+    with NUL padding: theta, the axis prefix (the axis, p_plus and E_A,
+    formatted once per block), the E_B, delta and closed_form fields of
+    ``format_fields`` (a comma in the last, always NUL, byte of the first
+    two) and the backend suffix.  Dropping the NUL bytes leaves the text."""
     yield ",".join(SWEEP_COLUMNS)
     for system, surface, backend in blocks:
         e_a = system.injected_energy
         shared = f"{format_float(float(system.probabilities[1]))},{format_float(float(e_a))}"
-        templates = [f"%s,{','.join(map(format_float, axis))},{shared},%.17g,%.17g,%.17g,{backend}"
-                     for axis in surface.axes.tolist()]
-        for theta, deltas, closed in zip(surface.thetas.tolist(), surface.deltas, surface.closed_form_rows()):
-            rows = zip(repeat(format_float(theta)), (e_a + deltas).tolist(), deltas.tolist(), closed.tolist())
-            yield from map(operator.mod, templates, rows)
+        prefixes = [f",{','.join(map(format_float, axis))},{shared}," for axis in surface.axes.tolist()]
+        thetas = [format_float(theta) for theta in surface.thetas.tolist()]
+        start = max(map(len, thetas))
+        end = start + max(map(len, prefixes))
+        suffix = f",{backend}\n".encode()
+        buffer = bytearray(len(prefixes) * (end + 3 * FIELD_WIDTH + len(suffix)))
+        line = np.frombuffer(buffer, np.uint8).reshape(len(prefixes), -1)
+        line[:, start:end] = padded(prefixes, end - start)
+        line[:, -len(suffix):] = np.frombuffer(suffix, np.uint8)
+        line[-1, -1] = 0  # no newline after the last line
+        columns = [line[:, end + i * FIELD_WIDTH:end + (i + 1) * FIELD_WIDTH] for i in range(3)]
+        for theta, deltas, closed in zip(padded(thetas, start), surface.deltas, surface.closed_form_rows()):
+            line[:, :start] = theta
+            for column, values in zip(columns, (e_a + deltas, deltas, closed)):
+                column[:] = format_fields(values)
+            line[:, end + FIELD_WIDTH - 1:end + 2 * FIELD_WIDTH:FIELD_WIDTH] = ord(",")
+            yield buffer.translate(None, b"\0").decode()
 
 
 def write_lines(path: str, artifact: str, lines: Iterable[str]):
@@ -134,7 +157,8 @@ def write_lines(path: str, artifact: str, lines: Iterable[str]):
     try:
         with open(path, "w") as fh:
             for line in lines:
-                fh.write(line + "\n")
+                fh.write(line)
+                fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {artifact} to {path}: {exc.strerror or exc}") from exc
 

@@ -68,6 +68,24 @@ class TestLoccParams:
         with pytest.raises(ValueError):
             LoccParams.from_direction(theta, direction)
 
+    @pytest.mark.parametrize("direction,axis", [
+        ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e308, 1e308, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+    ])
+    def test_direction_whose_squares_leave_the_float_range(self, direction, axis):
+        # the sum of squares is inf or 0, yet the direction is valid
+        p = LoccParams.from_direction(0.1, direction)
+        assert p.axis == pytest.approx(axis, abs=1e-15)
+
+    @pytest.mark.parametrize("direction", [
+        (0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (math.inf, 1.0, 0.0), (-math.inf, math.inf, 0.0),
+        (1e308, math.nan, 0.0), (math.nan, 1e-200, 0.0),
+    ])
+    def test_zero_nan_and_inf_directions_still_rejected(self, direction):
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            LoccParams.from_direction(0.1, direction)
+
 
 class TestMeasurementOps:
     def test_projector_algebra(self, lat2):

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from toricqet import floatfmt
 from toricqet.chain import build_chain, protocol_system
+from toricqet.floatfmt import FIELD_WIDTH, format_fields
 from toricqet.lattice import ToricLattice
 from toricqet.optimize import IDLE, GridSpec, OptimizeResult, optimize_system
 from toricqet.protocol import ProtocolSystem, make_backends
@@ -121,6 +123,14 @@ class TestCsv:
         assert [ln.split(",")[6] for ln in lines[1:]] == ["2", "2.25", "2", "2.75"]
         assert all(ln.endswith(",statevector") for ln in lines[1:])
 
+    def test_one_block_per_theta_row(self):
+        # the header, then each theta row's lines joined by newlines, none trailing
+        blocks = list(sweep_csv_lines([self.GRID]))
+        assert len(blocks) == 3
+        assert [len(b.split("\n")) for b in blocks[1:]] == [2, 2]
+        assert not any(b.endswith("\n") for b in blocks)
+        assert [ln.split(",")[0] for ln in blocks[2].split("\n")] == ["0.5", "0.5"]
+
     def test_write_error_names_path(self, tmp_path):
         bad = tmp_path / "missing" / "sweep.csv"
         with pytest.raises(OSError, match="sweep"):
@@ -183,3 +193,61 @@ class TestCsvMatchesTable:
         systems = [ProtocolSystem.from_toric(lat, scheme, backend) for backend in make_backends(lat, "both", (1, 1))]
         blocks = [(system, optimize_system(system), system.backend.name) for system in systems]
         self.check(tmp_path, blocks)
+
+
+class TestFloatKernel:
+    """format_fields against Python's '%.17g' % v, string for string."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        rows = np.zeros((values.size, FIELD_WIDTH + 1), np.uint8)
+        rows[:, :FIELD_WIDTH] = format_fields(values)
+        rows[:, FIELD_WIDTH] = ord("\n")
+        got = rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+        want = ["%.17g" % v for v in values.tolist()]
+        assert len(got) == len(want)
+        mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not mismatches, mismatches[:5]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):  # 10^6 patterns, in chunks to bound memory
+            self.check(rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64))
+
+    def test_random_bit_patterns_near_the_kernel_range(self, monkeypatch):
+        # random significands and signs, binary exponents from 2^-16 to 2^55:
+        # most values lie in [1e-4, 1e16), where the vectorized path must be the one taken
+        rng = np.random.default_rng(18)
+        fallbacks, python_fields = [], floatfmt.python_fields
+        monkeypatch.setattr(floatfmt, "python_fields", lambda v: fallbacks.append(v.size) or python_fields(v))
+        for _ in range(4):
+            bits = rng.integers(0, 2 ** 52, 100_000, dtype=np.uint64)
+            bits |= rng.integers(1023 - 16, 1023 + 56, 100_000).astype(np.uint64) << np.uint64(52)
+            bits |= rng.integers(0, 2, 100_000).astype(np.uint64) << np.uint64(63)
+            values = bits.view(np.float64)
+            self.check(values)
+            outside = np.count_nonzero((np.abs(values) < 1e-4) | (np.abs(values) >= 1e16))
+            assert outside <= sum(fallbacks) <= outside + 100
+            fallbacks.clear()
+
+    def test_both_sides_of_each_power_of_ten(self):
+        # 40 neighbouring doubles each way of 1e-7 ... 1e18, both signs: the
+        # kernel range's edges, and a log10 that may land on the wrong integer
+        steps = np.arange(-40, 41)
+        values = np.concatenate([(np.float64(f"1e{e}").view(np.int64) + steps).view(np.float64)
+                                 for e in range(-7, 19)])
+        self.check(np.concatenate((values, -values)))
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = [1234567890123456.25, 1234567890123456.75, 123456789012345.125, 123456789012345.375]
+        assert 1234567890123456.25 - 1234567890123456 == 0.25  # the decimal is the exact double
+        values = ties + [-t for t in ties]
+        self.check(values)
+        rows = format_fields(np.array(values[:2]))
+        assert [row.tobytes().replace(b"\0", b"") for row in rows] == [b"1234567890123456.2", b"1234567890123456.8"]
+
+    def test_zeros_subnormals_extremes_and_non_finite(self):
+        self.check([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                    1e-4, 1e16, 9999999999999998.0, 0.00010000000000000002, 1.0, -1.0, 0.5, 1e15])
