@@ -25,25 +25,20 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .pauli import PauliPolynomial, PauliString
-from .stabilizer import StabilizerGroup
+from .stabilizer import StabilizerGroup, check_sector
 
 EAST = 0
 SOUTH = 1
-# The largest torus, in qubits (L = 160).  The stabilizer echelon holds n
-# rows of 2n bits, about L^4 bytes: ground_group peaks at 0.36 GB RSS at
-# L = 128 and 0.81 GB at L = 160, and a larger L is refused before any
-# geometry is built.
+# The largest torus, in qubits (L = 160).  A full-region scan keys a
+# sandwich table by each term's partner under the measured string, an
+# n-bit int, so its memory grows as L^4: `nogo-scan` peaks at 0.32 GB RSS
+# at L = 128 and 0.70 GB at L = 160 (2 CPUs, Python 3.11), and a larger L
+# is refused before any geometry is built.
 LATTICE_QUBIT_LIMIT = 2 * 160 * 160
 
 
 class CapacityError(Exception):
     """Request exceeds a size limit: the torus's, or the brute-force backend's."""
-
-
-def check_sector(sector: tuple[int, int]):
-    """Reject a ground sector that is not a pair of +-1 loop signs."""
-    if len(sector) != 2 or any(s not in (1, -1) for s in sector):
-        raise ValueError("sector must be a pair of +-1 loop signs")
 
 
 @dataclass(frozen=True)
@@ -166,16 +161,14 @@ class ToricLattice:
         return -2.0 * self.L * self.L
 
     def ground_group(self, sector: tuple[int, int] = (1, 1)) -> StabilizerGroup:
-        """Stabilizer group of the ground state in the given loop sector.
+        """The ground state in the given loop sector: stabilized by every star
+        and plaquette, and by the two Z loops with the sector's signs.
 
-        Independent generators: all stars and plaquettes except one of each
-        (their full products are identity), plus the two Z loops carrying
-        the sector signs.
+        Its expectations come from the star and plaquette syndromes of a key
+        and its crossings of the dual X loops (see `stabilizer`); no
+        generator set is built.
         """
-        check_sector(sector)
-        gens = list(self.stars()[:-1]) + list(self.plaquettes()[:-1]) + list(self.z_loops())
-        signs = [1] * (2 * (self.L * self.L - 1)) + [sector[0], sector[1]]
-        return StabilizerGroup(gens, signs)
+        return StabilizerGroup(self, sector)
 
     # -- incidence ---------------------------------------------------------
 

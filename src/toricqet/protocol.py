@@ -89,7 +89,7 @@ def outcome_params(locc: LoccChoice, k: int) -> LoccParams:
 
 
 class StabilizerBackend:
-    """Symbolic expectations from the stabilizer group; any lattice size."""
+    """Exact toric-code expectations from syndromes and loop signs; any lattice size."""
 
     name = "stabilizer"
     exact = True
@@ -221,7 +221,7 @@ class ProtocolSystem(KrausSandwiches):
         the unshifted columns `diagonal`, then those of each pass in `shifted`.
 
         H itself joins `diagonal` as its first column; its values are the
-        measured energies, so a response that reads H's keys reduces each
+        measured energies, so a response that reads H's keys queries each
         of them once, not once more for `measured_energies`.  Returns the
         values without H's.
         """

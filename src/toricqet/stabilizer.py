@@ -1,124 +1,95 @@
-"""Stabilizer-group representation of the code ground state.
+"""Exact ground-state expectations of the toric code, from homology.
 
-A state on n qubits is fixed by n independent, pairwise-commuting Hermitian
-Pauli strings with signs +-1.  Expectations of arbitrary Pauli strings then
-follow from GF(2) linear algebra: a string has expectation +-1 when its
-symplectic vector lies in the row span of the generators, and expectation 0
-otherwise.
+The ground state in loop sector (s1, s2) is the stabilizer state of every
+star, every plaquette and the two Z loops, the loops with signs s1 and s2.
+Its group is maximal, so a bare term X^x Z^z has a nonzero expectation iff
+it commutes with every generator (Kitaev, Ann. Phys. 303, 2 (2003)):
 
-Every vector is packed as one int, ``x_bits | z_bits << n``.  At
-construction the signed generators are Gaussian-eliminated into phased
-rows: each row is a group element i^e * X^x Z^z stored as (vector, e mod 4),
-multiplied with exact phase tracking, and back-substituted so that every
-row has exactly one pivot bit.  With rows that fully reduced, the reduction
+- z has even overlap with every star (zero star syndrome), so z is a
+  product of plaquettes and Z loops;
+- x has even overlap with every plaquette (zero plaquette syndrome) and
+  with both Z loops, so x is a product of stars.
 
-    R(v) = product of the rows at the pivot bits of v
+Then X^x fixes the state and Z^z acts on it as the product of the sector
+signs of the Z loops in z.  Plaquettes commute with the dual X loops
+(`x_flip_edges`), and Z loop i anticommutes with X loop i alone, so z holds
+loop i iff it crosses X loop i an odd number of times.  The value is +-1,
+exactly: `phase_value(0)` or `phase_value(2)`.
 
-is a group element, and v is a member iff R(v) has vector v; the bare term
-X^x Z^z = i^{-e} R(v) then has expectation i^{-e}.  All group elements
-commute and square to +I, so R is linear: R(a ^ b) = R(a) R(b), exactly.
-A query costs one row product per pivot bit of its key.
-
-The protocol's expensive keys are X_A ^ l, with X_A the measured
-all-but-one X string (about n/2 pivot bits) and l a local string.  Each
-group therefore keeps one anchor, a (key, R(key)) pair: a key whose
-difference from the anchor has fewer pivot bits is reduced as
-R(anchor) R(key ^ anchor), so X_A is reduced once instead of once per term.
-The arithmetic is exact (GF(2), phases mod 4), so no value depends on the
-anchor.
+Keys are packed ints over the edges.  Edge 2i is the east edge of vertex
+i = row * L + col and edge 2i + 1 its south edge, so ``v & EVEN`` holds the
+east bits and ``(v >> 1) & EVEN`` the south bits, each at bit 2i of its
+vertex.  A syndrome is then a few shifts and masks: within a row a
+neighbour is 2 bits away, and the row wraps through the column-0 and
+column-(L-1) masks; between rows a neighbour is 2L bits away, and the
+column wraps by rotating the n-bit int.
 
 Polynomials that share their keys, such as the two Kraus outcomes of one
-operator, are queried together (`column_expectations`): each key is reduced
-once, and its value i^{-e} feeds one total per polynomial, so a query costs
-one reduction per key, however many columns it has.  `poly_expectation` is
+operator, are queried together (`column_expectations`): each key is tested
+once, and its value feeds one total per polynomial.  `poly_expectation` is
 its one-column case.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .pauli import PauliPolynomial, PauliString, TermRow, phase_value
+from .pauli import PauliPolynomial, TermRow, phase_value
+
+if TYPE_CHECKING:
+    from .lattice import ToricLattice
+
+
+def check_sector(sector: tuple[int, int]):
+    """Reject a ground sector that is not a pair of +-1 loop signs."""
+    if len(sector) != 2 or any(s not in (1, -1) for s in sector):
+        raise ValueError("sector must be a pair of +-1 loop signs")
 
 
 class StabilizerGroup:
-    """Generator set defining a stabilizer state, with exact expectations."""
+    """The toric-code ground state of one loop sector, with exact expectations."""
 
-    def __init__(self, generators: Sequence[PauliString], signs: Optional[Sequence[int]] = None):
-        generators = tuple(generators)
-        if not generators:
-            raise ValueError("need at least one generator")
-        n = generators[0].n_qubits
-        if any(g.n_qubits != n for g in generators):
-            raise ValueError("generators act on different qubit counts")
-        if len(generators) != n:
-            raise ValueError(f"need exactly {n} generators for {n} qubits, got {len(generators)}")
-        if signs is None:
-            signs = (1,) * n
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != len(generators) or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be +-1, one per generator")
-        for g in generators:
-            if not g.is_hermitian():
-                raise ValueError(f"generator {g.label()} is not Hermitian")
-        if not _all_commute(generators):
-            raise ValueError("generators do not all commute")
-
+    def __init__(self, lat: ToricLattice, sector: tuple[int, int] = (1, 1)):
+        check_sector(sector)
+        L, n = lat.L, lat.n_qubits
         self.n_qubits = n
-        self.generators = generators
-        self.signs = signs
-        # pivot column -> (row vector, phase exponent mod 4); each row has
-        # exactly one bit in _pivot_mask, its own.
-        self._rows: dict[int, tuple[int, int]] = {}
-        self._pivot_mask = 0
-        self._build_echelon()
-        # (key, pivot-bit count of key, vector of R(key), phase of R(key))
-        self._anchor = (0, 0, 0, 0)
+        # a neighbouring row is 2L bits away
+        self._shift = 2 * L
+        self._full = (1 << n) - 1
+        self._even = self._full // 3
+        # the east-bit positions of column 0 and column L-1, and of the rest
+        first = sum(1 << 2 * L * r for r in range(L))
+        last = first << 2 * (L - 1)
+        self._cols = (first, self._even ^ first, last, self._even ^ last)
+        self._z_loops = tuple(sum(1 << e for e in edges) for edges in lat.z_loop_edges)
+        self._x_loops = tuple(sum(1 << e for e in edges) for edges in lat.x_flip_edges)
+        s1, s2 = sector
+        # value by (crosses X loop 1, crosses X loop 2), as 2 * a + b
+        self._values = tuple(phase_value(0 if s == 1 else 2) for s in (1, s2, s1, s1 * s2))
 
-    def _build_echelon(self):
-        n = self.n_qubits
-        rows = self._rows
-        for g, s in zip(self.generators, self.signs):
-            v = g.x_bits | (g.z_bits << n)
-            e = g.phase_exp + (2 if s < 0 else 0)
-            while v:
-                col = (v & -v).bit_length() - 1
-                hit = rows.get(col)
-                if hit is None:
-                    rows[col] = (v, e % 4)
-                    self._pivot_mask |= 1 << col
-                    break
-                e += hit[1] + 2 * ((v >> n) & hit[0]).bit_count()
-                v ^= hit[0]
-            else:
-                raise ValueError("generators are linearly dependent over GF(2)")
-        # A row's other pivot bits all lie above its own pivot, so clearing
-        # them from the highest pivot down only ever uses finished rows.
-        for col in sorted(rows, reverse=True):
-            v, e = rows[col]
-            rest = (v & self._pivot_mask) ^ (1 << col)
-            if rest:
-                v, e = self._mul(v, e, self._reduce(rest))
-                rows[col] = (v, e)
-
-    def _mul(self, v: int, e: int, other: tuple[int, int]) -> tuple[int, int]:
-        """(v, e) times other, as (vector, phase exponent mod 4)."""
-        w, f = other
-        return v ^ w, (e + f + 2 * ((v >> self.n_qubits) & w).bit_count()) % 4
-
-    def _reduce(self, v: int) -> tuple[int, int]:
-        """R(v): the product of the rows at the pivot bits of v."""
-        n = self.n_qubits
-        rows = self._rows
-        acc = e = 0
-        bits = v & self._pivot_mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            w, f = rows[low.bit_length() - 1]
-            e += f + 2 * ((acc >> n) & w).bit_count()
-            acc ^= w
-        return acc, e % 4
+    def _value(self, x: int, z: int):
+        """<X^x Z^z> in the ground state: +-1 as a complex unit, or None for 0."""
+        n, full, even, shift = self.n_qubits, self._full, self._even, self._shift
+        first, not_first, last, not_last = self._cols
+        if z:
+            # star at vertex i: east and south of i, east of its west
+            # neighbour, south of its north neighbour (2L bits down, cyclic)
+            east, south = z & even, (z >> 1) & even
+            north = south << shift
+            if east ^ south ^ ((east & not_last) << 2) ^ ((east & last) >> shift - 2) ^ (north & full) ^ (north >> n):
+                return None
+        if x:
+            loop1, loop2 = self._z_loops
+            if (x & loop1).bit_count() & 1 or (x & loop2).bit_count() & 1:
+                return None
+            # plaquette at vertex i: east and south of i, south of its east
+            # neighbour, east of its south neighbour (2L bits up, cyclic)
+            east, south = x & even, (x >> 1) & even
+            below = east << n - shift
+            if east ^ south ^ ((south & not_first) >> 2) ^ ((south & first) << shift - 2) ^ (below & full) ^ (below >> n):
+                return None
+        loop1, loop2 = self._x_loops
+        return self._values[2 * ((z & loop1).bit_count() & 1) + ((z & loop2).bit_count() & 1)]
 
     # -- queries -----------------------------------------------------------
 
@@ -133,64 +104,15 @@ class StabilizerGroup:
         """Exact expectations of `width` polynomials that share one key order.
 
         `rows` yields (key, coefficients): one coefficient per column, None
-        where that column has no term with the key.  Each key is reduced
+        where that column has no term with the key.  Each key is tested
         once, and column j sums its terms in row order.
         """
-        n = self.n_qubits
-        mask = self._pivot_mask
         totals = [0.0 + 0.0j] * width
         for (x, z), coeffs in rows:
-            v = x | (z << n)
-            count = (v & mask).bit_count()
-            anchor = self._anchor
-            diff = v ^ anchor[0]
-            if (diff & mask).bit_count() < count:
-                w, e = self._mul(anchor[2], anchor[3], self._reduce(diff))
-            else:
-                w, e = self._reduce(v)
-                if count > anchor[1]:
-                    self._anchor = (v, count, w, e)
-            if w != v:
+            value = self._value(x, z)
+            if value is None:
                 continue
-            # bare term = i^{-e} * (group element), so <bare> = i^{-e}.
-            value = phase_value(-e)
             for j, coeff in enumerate(coeffs):
                 if coeff is not None:
                     totals[j] += coeff * value
         return totals
-
-
-def _all_commute(generators: Sequence[PauliString]) -> bool:
-    """True iff every pair of the strings commutes.
-
-    Bit i of col_x[q] / col_z[q] says whether string i has an X / Z part on
-    qubit q.  XOR-ing col_z over a string's X support and col_x over its Z
-    support gives, at bit j, the parity of its symplectic product with
-    string j.  Cost O(n * weight) big-int XORs instead of n^2/2 pair tests.
-    """
-    n = generators[0].n_qubits
-    col_x = [0] * n
-    col_z = [0] * n
-    for i, g in enumerate(generators):
-        bit = 1 << i
-        for q in _bits(g.x_bits):
-            col_x[q] |= bit
-        for q in _bits(g.z_bits):
-            col_z[q] |= bit
-    for g in generators:
-        parity = 0
-        for q in _bits(g.x_bits):
-            parity ^= col_z[q]
-        for q in _bits(g.z_bits):
-            parity ^= col_x[q]
-        if parity:
-            return False
-    return True
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1

@@ -318,7 +318,7 @@ class TestBothOutcomesInOnePass:
 
 
 class TestOneReductionPerKey:
-    """Each key of a sandwich table is reduced once, not once per outcome and
+    """Each key of a sandwich table is queried once, not once per outcome and
     operator: one table per commutator, one for H with the three diagonal
     sigma^i H sigma^i, and one per off-diagonal key family."""
 
@@ -332,17 +332,18 @@ class TestOneReductionPerKey:
         families = [[4 + 3 * i + j for i, j in family] for family in KEY_FAMILIES]
         tables = [[1], [2], [3], [0, *families[0]], *families[1:]]
         keys = [set().union(*(per_op[t] for t in table)) for table in tables]
-        reduce = StabilizerGroup._reduce
+        columns = StabilizerGroup.column_expectations
         calls = []
 
-        def counted(group, v):
-            calls.append(v)
-            return reduce(group, v)
+        def counted(group, rows, width):
+            rows = list(rows)
+            calls.extend(key for key, _ in rows)
+            return columns(group, rows, width)
 
-        monkeypatch.setattr(StabilizerGroup, "_reduce", counted)
+        monkeypatch.setattr(StabilizerGroup, "column_expectations", counted)
         QuadraticResponse(system)
         assert len(calls) == sum(map(len, keys)) == 1016
-        # one reduction per key and outcome would be sum(map(len, per_outcome)),
+        # one query per key and outcome would be sum(map(len, per_outcome)),
         # one per key and operator about half that
         assert len(calls) <= 0.21 * sum(map(len, per_outcome))
 

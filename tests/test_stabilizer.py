@@ -1,4 +1,5 @@
-"""Stabilizer-group expectations against small explicit states."""
+"""The homology engine against the reference echelon, and the reference
+against small explicit states."""
 
 import sys
 import threading
@@ -6,13 +7,17 @@ import threading
 import numpy as np
 import pytest
 from conftest import dense_poly, dense_string, random_hermitian_string, string_product
+from echelon import EchelonGroup, _all_commute, reference_group
 
 from toricqet.lattice import ToricLattice
+from toricqet.optimize import ProtocolSystem, QuadraticResponse
 from toricqet.pauli import PauliPolynomial, PauliString
-from toricqet.stabilizer import StabilizerGroup, _all_commute
+from toricqet.protocol import StabilizerBackend
+
+SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def expect(group: StabilizerGroup, p: PauliString) -> complex:
+def expect(group, p: PauliString) -> complex:
     """One string's expectation, through the polynomial query."""
     return group.poly_expectation(PauliPolynomial.from_string(p))
 
@@ -20,40 +25,42 @@ def expect(group: StabilizerGroup, p: PauliString) -> complex:
 def bell_group(signs=(1, 1)):
     xx = PauliString.from_support(2, [0, 1], "x")
     zz = PauliString.from_support(2, [0, 1], "z")
-    return StabilizerGroup([xx, zz], signs)
+    return EchelonGroup([xx, zz], signs)
 
 
 class TestConstruction:
+    """The reference echelon's generator checks."""
+
     def test_counts_must_match_qubits(self):
         z = PauliString.single(2, 0, "z")
         with pytest.raises(ValueError):
-            StabilizerGroup([z])
+            EchelonGroup([z])
 
     def test_anticommuting_rejected(self):
         x = PauliString.single(1, 0, "x")
         z = PauliString.single(1, 0, "z")
         with pytest.raises(ValueError):
-            StabilizerGroup([string_product(x, z)])  # not Hermitian either, but one qubit
+            EchelonGroup([string_product(x, z)])  # not Hermitian either, but one qubit
         with pytest.raises(ValueError):
-            StabilizerGroup([x, z])
+            EchelonGroup([x, z])
 
     def test_dependent_rejected(self):
         xx = PauliString.from_support(2, [0, 1], "x")
         with pytest.raises(ValueError):
-            StabilizerGroup([xx, xx])
+            EchelonGroup([xx, xx])
 
     def test_dependent_toric_generators_rejected(self, lat2):
         # All four stars multiply to the identity, so they cannot all be rows.
         gens = list(lat2.stars()) + list(lat2.plaquettes()[:-2]) + list(lat2.z_loops())
         with pytest.raises(ValueError, match="dependent"):
-            StabilizerGroup(gens)
+            EchelonGroup(gens)
 
     def test_bad_signs_rejected(self):
         z = PauliString.single(1, 0, "z")
         with pytest.raises(ValueError):
-            StabilizerGroup([z], signs=(2,))
+            EchelonGroup([z], signs=(2,))
         with pytest.raises(ValueError):
-            StabilizerGroup([z], signs=(1, 1))
+            EchelonGroup([z], signs=(1, 1))
 
 
 class TestCommutationCheck:
@@ -66,7 +73,7 @@ class TestCommutationCheck:
         gens.append(PauliString.from_support(6, [0, 5], "z"))
         assert not gens[0].commutes(gens[-1])
         with pytest.raises(ValueError, match="do not all commute"):
-            StabilizerGroup(gens)
+            EchelonGroup(gens)
 
     def test_pair_anticommuting_through_y_site_rejected(self):
         # Y0 X1 against X0 X1: the Y site anticommutes, the X site does not.
@@ -74,13 +81,14 @@ class TestCommutationCheck:
         x0x1 = PauliString.from_support(2, [0, 1], "x")
         assert not y0x1.commutes(x0x1)
         with pytest.raises(ValueError, match="do not all commute"):
-            StabilizerGroup([y0x1, x0x1])
+            EchelonGroup([y0x1, x0x1])
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_toric_ground_groups_accepted(self, L):
+        # the lattice's stars, plaquettes and Z loops commute and are independent
         lat = ToricLattice(L)
-        for sector in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            g = lat.ground_group(sector)
+        for sector in SECTORS:
+            g = reference_group(lat, sector)
             assert g.signs[-2:] == sector
 
     def test_matches_pairwise_definition(self):
@@ -97,19 +105,19 @@ class TestCommutationCheck:
 
 class TestSingleQubit:
     def test_z_up_state(self):
-        g = StabilizerGroup([PauliString.single(1, 0, "z")])
+        g = EchelonGroup([PauliString.single(1, 0, "z")])
         assert expect(g, PauliString.single(1, 0, "z")) == 1.0
         assert expect(g, PauliString.single(1, 0, "x")) == 0.0
         assert expect(g, PauliString.single(1, 0, "y")) == 0.0
         assert expect(g, PauliString(1, 0, 0)) == 1
 
     def test_z_down_state(self):
-        g = StabilizerGroup([PauliString.single(1, 0, "z")], signs=(-1,))
+        g = EchelonGroup([PauliString.single(1, 0, "z")], signs=(-1,))
         assert expect(g, PauliString.single(1, 0, "z")) == -1.0
 
     def test_y_state_complex_bare_term(self):
         # |psi> with Y|psi> = |psi>; the bare product XZ has expectation -i.
-        g = StabilizerGroup([PauliString.single(1, 0, "y")])
+        g = EchelonGroup([PauliString.single(1, 0, "y")])
         bare_xz = PauliPolynomial._from_raw(1, {(1, 1): 1.0 + 0.0j})
         assert g.poly_expectation(bare_xz) == pytest.approx(-1j)
 
@@ -124,7 +132,7 @@ class TestBellState:
         assert expect(g, PauliString.single(2, 0, "x")) == 0.0
 
     def test_with_signs(self):
-        g = StabilizerGroup(bell_group().generators, (1, -1))
+        g = EchelonGroup(bell_group().generators, (1, -1))
         assert expect(g, PauliString.from_support(2, [0, 1], "z")) == -1.0
         assert expect(g, PauliString.from_support(2, [0, 1], "y")) == 1
 
@@ -172,14 +180,15 @@ class TestToricGroups:
         # Products of random generator subsets stay in the group with the
         # sign obtained by explicit multiplication.
         g = lat3.ground_group((1, -1))
+        ref = reference_group(lat3, (1, -1))
         rng = np.random.default_rng(59)
         for _ in range(300):
             acc = PauliString(lat3.n_qubits, 0, 0)
             sign = 1
-            for i in range(len(g.generators)):
+            for i in range(len(ref.generators)):
                 if rng.integers(2):
-                    acc = string_product(acc, g.generators[i])
-                    sign *= g.signs[i]
+                    acc = string_product(acc, ref.generators[i])
+                    sign *= ref.signs[i]
             assert expect(g, acc) == sign
 
     def test_outside_strings_have_zero_expectation(self, lat3):
@@ -210,7 +219,8 @@ class TestLinearQuery:
 
     @staticmethod
     def keys(lat: ToricLattice, sector, count: int, seed: int):
-        g = lat.ground_group(sector)
+        """The homology engine, and `count` keys with their generator-product values."""
+        g = reference_group(lat, sector)
         n, L = lat.n_qubits, lat.L
         x_a = lat.full_region_scheme().operator()
         # Star (r, c) is generator r * L + c; the dropped last star has r + c even.
@@ -243,7 +253,7 @@ class TestLinearQuery:
                 assert all(p.commutes(gen) for gen in g.generators)
             assert ((p.x_bits ^ x_a.x_bits) | p.z_bits).bit_count() <= 4 * L + len(near_edges) + 1
             out.append((p, s))
-        return g, out
+        return lat.ground_group(sector), out
 
     CASES = [(3, 7, (1, -1)), (4, 31, (1, 1))]
 
@@ -252,8 +262,10 @@ class TestLinearQuery:
         lat = ToricLattice(L, bob)
         g, keys = self.keys(lat, sector, 200, seed=71 + L)
         assert {s == 0 for _, s in keys} == {True, False}
+        ref = reference_group(lat, sector)
         for p, s in keys:
             assert expect(g, p) == s
+            assert repr(expect(g, p)) == repr(expect(ref, p))
 
     @pytest.mark.parametrize("L,bob,sector", CASES)
     def test_values_independent_of_query_history(self, L, bob, sector):
@@ -292,7 +304,7 @@ class TestLinearQuery:
         assert total != 0
 
     def test_concurrent_queries_share_one_group(self):
-        # Threads race on the anchor; every value must still be exact.
+        # Threads share one group; every value must still be exact.
         lat = ToricLattice(4, 31)
         g, keys = self.keys(lat, (1, 1), 120, seed=101)
         x_a = lat.full_region_scheme().operator()
@@ -321,3 +333,72 @@ class TestLinearQuery:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+class TestAgainstReference:
+    """The homology engine against the reference echelon, value for value:
+    the same complex unit, or the same zero, so every sum keeps its bits."""
+
+    @staticmethod
+    def values(group, keys, coeffs):
+        return [repr(v) for v in group.column_expectations(zip(keys, coeffs), len(coeffs[0]))]
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 8, 16])
+    def test_random_keys(self, L):
+        lat = ToricLattice(L)
+        n = lat.n_qubits
+        rng = np.random.default_rng(400 + L)
+        gens = [(g.x_bits, g.z_bits) for g in reference_group(lat).generators]
+        x_loops = [sum(1 << e for e in edges) for edges in lat.x_flip_edges]
+        for sector in SECTORS:
+            g, ref = lat.ground_group(sector), reference_group(lat, sector)
+            keys = []
+            for _ in range(150):
+                x = z = 0
+                for gx, gz in gens:
+                    if rng.integers(2):
+                        x, z = x ^ gx, z ^ gz
+                if rng.integers(4) == 0:
+                    x ^= x_loops[int(rng.integers(2))]
+                # none, one or two local Paulis on top
+                for _ in range(int(rng.integers(3))):
+                    q, kind = int(rng.integers(n)), int(rng.integers(1, 4))
+                    x, z = x ^ (kind & 1) << q, z ^ (kind >> 1) << q
+                keys.append((x, z))
+            one = [(1.0 + 0j,)]
+            got = [self.values(g, [key], one) for key in keys]
+            assert got == [self.values(ref, [key], one) for key in keys]
+            assert {v == ["0j"] for v in got} == {True, False}
+            # three columns with gaps, summed in row order
+            coeffs = [tuple(None if rng.integers(4) == 0 else complex(*rng.normal(size=2)) for _ in range(3))
+                      for _ in keys]
+            assert self.values(g, keys, coeffs) == self.values(ref, keys, coeffs)
+
+    @pytest.mark.parametrize("L,bob,sector", TestLinearQuery.CASES)
+    def test_heavy_keys(self, L, bob, sector):
+        lat = ToricLattice(L, bob)
+        g, keys = TestLinearQuery.keys(lat, sector, 200, seed=107 + L)
+        ref = reference_group(lat, sector)
+        rows = [(p.x_bits, p.z_bits) for p, _ in keys]
+        coeffs = [(1.0 + 0j, complex(k, -0.5)) for k in range(len(rows))]
+        assert self.values(g, rows, coeffs) == self.values(ref, rows, coeffs)
+        for row, c in zip(rows, coeffs):
+            assert self.values(g, [row], [c]) == self.values(ref, [row], [c])
+
+    @pytest.mark.parametrize("L", [3, 8])
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("one_edge", [False, True])
+    def test_response_forms_bit_identical(self, L, high, one_edge):
+        n = 2 * L * L
+        bob = n - 1 if high else 1
+        lat = ToricLattice(L, bob)
+        # one edge: the other east edge of a star on the target
+        scheme = (lat.scheme_from_edges([next(e for e in lat.star_edges[lat.stars_touching(bob)[0]] if e != bob)])
+                  if one_edge else lat.full_region_scheme())
+        sector = (1, -1) if high else (-1, 1)
+        responses = [QuadraticResponse(ProtocolSystem.from_toric(lat, scheme, StabilizerBackend(group)))
+                     for group in (lat.ground_group(sector), reference_group(lat, sector))]
+        got, want = ([r.w_shared.tobytes(), r.r_shared.tobytes(), *(f.tobytes() for f in r.forms.values()),
+                      repr(r.system.measured_energies), repr(r.system.probabilities)] for r in responses)
+        assert got == want
+        assert np.any(responses[0].forms[1])
