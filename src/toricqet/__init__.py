@@ -6,6 +6,12 @@ brute-force statevector oracle limited to small lattices.  Agreement
 between them is the package's core evidence.
 """
 
+import os
+
+# No matrix toricqet gives LAPACK is larger than 64x64; there a second
+# OpenBLAS thread only adds wake-up waits.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .pauli import PauliPolynomial, PauliString, phase_value
 from .stabilizer import StabilizerGroup
 from .lattice import CapacityError, MeasurementScheme, ToricLattice

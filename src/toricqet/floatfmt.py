@@ -92,7 +92,7 @@ def format_fields(values: np.ndarray) -> np.ndarray:
     groups, group_zeros, keep, layout, powers, high, low = _tables()
     mag = np.abs(values)
     ok = (mag >= 1e-4) & (mag < 1e16)
-    mag[~ok] = 1.0
+    np.copyto(mag, 1.0, where=~ok)
     k = np.log10(mag)
     np.floor(k, out=k)
     np.clip(k, -4.0, 15.0, out=k)
@@ -106,10 +106,13 @@ def format_fields(values: np.ndarray) -> np.ndarray:
     ok &= (hi >= 1e16) & (hi < 1e17) & ((hi > 1e16) | (err >= 0.0))
     rest = hi.astype(np.int64) + np.rint(err).astype(np.int64)
     quads = np.empty((values.size, 5), np.intp)
+    # D is positive and below 1e18 (mag is 1 where the range test failed), so
+    # // and a subtraction give divmod's digits, faster.  The first quotient,
+    # below 100, is a valid group index; on a kept row it is the lead digit.
     for i, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
-        quads[:, i], rest = np.divmod(rest, unit)
+        quads[:, i] = digits = rest // unit
+        rest = rest - digits * unit
     quads[:, 4] = rest
-    quads[:, 0] %= 10  # the lead digit; rejected rows are overwritten below
     zeros = np.zeros(values.size, np.int8)
     for i in (1, 2, 3, 4):
         zeros = np.take(group_zeros, quads[:, i]) + (quads[:, i] == 0) * zeros

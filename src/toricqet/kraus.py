@@ -69,14 +69,20 @@ class KrausSandwiches:
         PRUNE_TOL, so value 2c + j of a pass is that product's
         expectation for k = OUTCOMES[j].
         """
-        rows: dict[tuple[int, int], list] = {}
+        # A row is named by the lower key of its pair {a, S a}: the key itself,
+        # or (lower key,) for the higher one.  Raw S a keys share CPython int
+        # hashes and their leading digits, so a lookup among them compared
+        # whole n-bit ints.  The higher key is not held: a pass rebuilds it.
+        rows: dict[tuple, list] = {}
         slots = []
         for key in keys:
             hit = self.partner(key)
             if hit is None:
                 slots.append(None)
+            elif key < hit[0]:
+                slots.append((rows.setdefault(key, []), rows.setdefault((key,), []), hit[1]))
             else:
-                slots.append((rows.setdefault(key, []), rows.setdefault(hit[0], []), hit[1]))
+                slots.append((rows.setdefault((hit[0],), []), rows.setdefault(hit[0], []), hit[1]))
         (half_p, shift_p), (half_m, shift_m) = self.kraus_weights
         values = []
         for (tx, tz), columns in passes:
@@ -95,9 +101,20 @@ class KrausSandwiches:
                 for j, c in enumerate(row):
                     if not abs(c) >= PRUNE_TOL:
                         row[j] = None
-            table = zip(((x ^ tx, z ^ tz) for x, z in rows), rows.values()) if tx | tz else rows.items()
-            values.append(self.backend.expect_columns(table, len(zeros)))
+            values.append(self.backend.expect_columns(self._table(rows, tx, tz), len(zeros)))
         return values
+
+    def _table(self, rows: dict[tuple, list], tx: int, tz: int) -> Iterator[tuple[tuple[int, int], list]]:
+        """(key xor t, row) for each of `sandwiches`' rows, in order."""
+        stx, stz = self.measured.x_bits ^ tx, self.measured.z_bits ^ tz
+        for name, row in rows.items():
+            if len(name) == 1:
+                (x, z), = name
+                yield (x ^ stx, z ^ stz), row
+            elif tx | tz:
+                yield (name[0] ^ tx, name[1] ^ tz), row
+            else:
+                yield name, row
 
     def sandwich_expectations(self, op: PauliPolynomial) -> dict[int, complex]:
         """{k: <M_k op M_k>}: both outcomes from one table, each key queried once."""

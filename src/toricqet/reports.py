@@ -125,9 +125,12 @@ def sweep_csv_lines(blocks: Iterable[tuple]):
     joined by newlines.  p_plus and E_A come from a ``ProtocolSystem``, the
     rest from an ``OptimizeResult``.  The lines of a row are a byte matrix
     with NUL padding: theta, the axis prefix (the axis, p_plus and E_A,
-    formatted once per block), the E_B, delta and closed_form fields of
-    ``format_fields`` (a comma in the last, always NUL, byte of the first
-    two) and the backend suffix.  Dropping the NUL bytes leaves the text."""
+    formatted once per block), the E_B, delta and closed_form fields (a
+    comma in the last, always NUL, byte of the first two) and the backend
+    suffix.  The three value fields of a row come from one ``format_fields``
+    call on a (3, axes) array filled in place, written through a
+    (field, axis, byte) view of the matrix.  Dropping the NUL bytes leaves
+    the text."""
     yield ",".join(SWEEP_COLUMNS)
     for system, surface, backend in blocks:
         e_a = system.injected_energy
@@ -142,11 +145,14 @@ def sweep_csv_lines(blocks: Iterable[tuple]):
         line[:, start:end] = padded(prefixes, end - start)
         line[:, -len(suffix):] = np.frombuffer(suffix, np.uint8)
         line[-1, -1] = 0  # no newline after the last line
-        columns = [line[:, end + i * FIELD_WIDTH:end + (i + 1) * FIELD_WIDTH] for i in range(3)]
+        fields = line[:, end:end + 3 * FIELD_WIDTH].reshape(len(prefixes), 3, FIELD_WIDTH).transpose(1, 0, 2)
+        values = np.empty((3, len(prefixes)))
         for theta, deltas, closed in zip(padded(thetas, start), surface.deltas, surface.closed_form_rows()):
             line[:, :start] = theta
-            for column, values in zip(columns, (e_a + deltas, deltas, closed)):
-                column[:] = format_fields(values)
+            np.add(e_a, deltas, out=values[0])
+            values[1] = deltas
+            values[2] = closed
+            fields[:] = format_fields(values.ravel()).reshape(fields.shape)
             line[:, end + FIELD_WIDTH - 1:end + 2 * FIELD_WIDTH:FIELD_WIDTH] = ord(",")
             yield buffer.translate(None, b"\0").decode()
 

@@ -5,6 +5,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -272,6 +274,42 @@ class TestControl:
         report = json.loads(json_path.read_text())
         assert report["delta"] == pytest.approx(-0.10557280900008412, abs=1e-9)
         assert report["closed_form"] is None
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def run_fresh(argv: list, threads) -> subprocess.CompletedProcess:
+    """`python argv` in a new interpreter with this checkout's toricqet first on
+    the path, and OPENBLAS_NUM_THREADS unset (threads None) or set to threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestBlasThreads:
+    """toricqet runs OpenBLAS on one thread unless told otherwise, and the
+    thread count never changes a result."""
+
+    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
+        # N=6 sends the chain's 64x64 eigh down OpenBLAS's threaded path
+        artifacts = []
+        for threads in ("1", "2"):
+            csv_path, json_path = tmp_path / f"sweep{threads}.csv", tmp_path / f"report{threads}.json"
+            proc = run_fresh(["-m", "toricqet.cli", "control", "--sites", "6", "--site-b", "1",
+                              "--theta-count", "9", "--sphere-count", "16",
+                              "--out", str(csv_path), "--json", str(json_path)], threads)
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+    def test_import_defaults_to_one_thread(self, preset, want):
+        proc = run_fresh(["-c", "import os, toricqet; print(os.environ['OPENBLAS_NUM_THREADS'])"], preset)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want + "\n"
 
 
 def golden_digests() -> dict:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from toricqet import floatfmt
+from toricqet import floatfmt, reports
 from toricqet.chain import build_chain, protocol_system
 from toricqet.floatfmt import FIELD_WIDTH, format_fields
 from toricqet.lattice import ToricLattice
@@ -130,6 +130,26 @@ class TestCsv:
         assert [len(b.split("\n")) for b in blocks[1:]] == [2, 2]
         assert not any(b.endswith("\n") for b in blocks)
         assert [ln.split(",")[0] for ln in blocks[2].split("\n")] == ["0.5", "0.5"]
+
+    @pytest.mark.parametrize("grid", [
+        GRID,
+        block([0.0, 0.25, 1.5], [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0], [0.6, 0.0, -0.8]],
+              np.arange(12.0).reshape(3, 4) * [[0.0], [1e-5], [0.125]], "statevector"),
+    ])
+    def test_one_kernel_call_per_theta_row(self, monkeypatch, grid):
+        # E_B, delta and closed_form of a theta row are formatted in one call
+        sizes = []
+
+        def counting(values):
+            sizes.append(values.size)
+            return format_fields(values)
+
+        monkeypatch.setattr(reports, "format_fields", counting)
+        lines = "\n".join(sweep_csv_lines([grid])).split("\n")
+        t_count, m_count = grid[1].deltas.shape
+        assert sizes == [3 * m_count] * t_count
+        # zeros and values below 1e-4 go to Python; the bytes are the reference's
+        assert "".join(line + "\n" for line in lines) == table_csv([grid])
 
     def test_write_error_names_path(self, tmp_path):
         bad = tmp_path / "missing" / "sweep.csv"
