@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -173,17 +174,22 @@ def _grid(args: argparse.Namespace) -> GridSpec:
 
 
 def _sample_params(args: argparse.Namespace) -> list[LoccParams]:
+    """The two fixed draws, then `samples` points from random.Random(seed):
+    the standard library's generator, which costs no import of numpy's generators."""
     if args.samples < 0:
         raise ValueError(f"samples must be non-negative, got {args.samples}")
-    rng = np.random.default_rng(args.seed)
+    # Random(-s) would silently draw the stream of seed s
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    rng = random.Random(args.seed)
     draws = [
         LoccParams(math.pi / 2, (0.0, 1.0, 0.0)),
         LoccParams.from_direction(0.3, (1.0, 1.0, 1.0)),
     ]
     for _ in range(args.samples):
-        direction = rng.standard_normal(3)
-        while np.linalg.norm(direction) < 1e-6:
-            direction = rng.standard_normal(3)
+        direction = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        while math.hypot(*direction) < 1e-6:
+            direction = [rng.gauss(0.0, 1.0) for _ in range(3)]
         draws.append(LoccParams.from_direction(rng.uniform(0.0, 2.0 * math.pi), direction))
     return draws
 

@@ -363,16 +363,29 @@ def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice) -> Chec
     """Sandwiching a plaquette between the Kraus projectors either kills it
     (it anticommutes with the measured string) or passes it through (it
     commutes).  Checked as exact polynomial identities and as backend
-    expectations, for every plaquette and both outcomes."""
+    expectations, for every plaquette and both outcomes.  The four
+    polynomials M_k B and M_k B M_k of a plaquette B are read in one
+    expect_columns call."""
     backend = system.backend
     checks = []
     for idx, plaquette in enumerate(lat.plaquettes()):
         collapses = not system.measured.commutes(plaquette)
         b_poly = PauliPolynomial.from_string(plaquette)
         r, c = divmod(idx, lat.L)
-        for k, m in system.m_ops.items():
+        polys = []
+        for m in system.m_ops.values():
             left = m.mul(b_poly)
-            sandwich = left.mul(m)
+            polys += (left, left.mul(m))
+        # rows: their keys in first-seen order; each polynomial runs B, then
+        # S B, so every column sums its own terms in its own order
+        rows = {}
+        for j, poly in enumerate(polys):
+            for key, coeff in poly.terms.items():
+                rows.setdefault(key, [None] * len(polys))[j] = coeff
+        values = backend.expect_columns(rows.items(), len(polys))
+        for i, k in enumerate(system.m_ops):
+            left, sandwich = polys[2 * i:2 * i + 2]
+            left_value, sandwich_value = values[2 * i:2 * i + 2]
             if collapses:
                 resid = sandwich.max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} collapses"
@@ -380,9 +393,8 @@ def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice) -> Chec
                 resid = sandwich.sub(left).max_abs_coeff()
                 label = f"plaquette({r},{c}) k={k:+d} passes through"
             checks.append(Check(label, resid <= IDENTITY_TOL, resid))
-            want = 0.0 if collapses else backend.expect(left).real
-            got = backend.expect(sandwich).real
-            resid_e = abs(got - want)
+            want = 0.0 if collapses else left_value.real
+            resid_e = abs(sandwich_value.real - want)
             checks.append(
                 Check(f"plaquette({r},{c}) k={k:+d} expectation", resid_e <= _zero_tol(backend), resid_e)
             )
@@ -391,15 +403,18 @@ def verify_plaquette_collapse(system: ProtocolSystem, lat: ToricLattice) -> Chec
 
 def verify_local_expectations(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
     """Every single-qubit Pauli has zero ground-state expectation; the
-    stabilizer terms themselves have expectation one (contrast row)."""
+    stabilizer terms themselves have expectation one (contrast row).  One
+    expect_columns call reads the three Paulis of a qubit."""
     backend = system.backend
     tol = _zero_tol(backend)
     checks = []
     worst = 0.0
     for qubit in range(lat.n_qubits):
-        for axis in AXIS_NAMES:
-            val = abs(backend.expect(sigma_poly(lat.n_qubits, qubit, axis)))
-            worst = max(worst, val)
+        bit = 1 << qubit
+        # sigma_poly's X, Y and Z on the qubit, as three one-term columns
+        rows = (((bit, 0), (1 + 0j, None, None)), ((bit, bit), (None, 1j, None)), ((0, bit), (None, None, 1 + 0j)))
+        for value in backend.expect_columns(rows, 3):
+            worst = max(worst, abs(value))
     checks.append(
         Check(f"all {3 * lat.n_qubits} single-site expectations vanish", worst <= tol, worst)
     )

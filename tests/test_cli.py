@@ -4,6 +4,7 @@ import argparse
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +84,42 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "samples" in err and len(err.splitlines()) == 1
+
+    def test_negative_seed_rejected(self, capsys):
+        # random.Random(-1) would draw seed 1's points without a word
+        code, out, err = run(capsys, "verify", "--L", "2", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
+
+
+class TestSampleParams:
+    """The derivation checks' parameter draws come from the standard library."""
+
+    def draws(self, seed, samples=6):
+        return cli._sample_params(argparse.Namespace(seed=seed, samples=samples))
+
+    def test_same_seed_same_draws(self):
+        assert self.draws(3) == self.draws(3)
+
+    def test_seeds_differ(self):
+        assert self.draws(0)[2:] != self.draws(1)[2:]
+
+    def test_unit_axes_and_angles_in_range(self):
+        draws = self.draws(11, samples=40)
+        assert len(draws) == 42
+        for params in draws:
+            assert math.hypot(*params.axis) == pytest.approx(1.0, abs=1e-12)
+        for params in draws[2:]:
+            assert 0.0 <= params.theta < 2.0 * math.pi
+
+    def test_verify_imports_no_numpy_random(self):
+        script = ("import sys\nfrom toricqet import cli\n"
+                  "code = cli.main(['verify', '--L', '2', '--samples', '3', '--seed', '5'])\n"
+                  "print(code, 'numpy.random' in sys.modules)")
+        proc = run_fresh(["-c", script], None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestNogoScan:

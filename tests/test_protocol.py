@@ -34,7 +34,7 @@ from toricqet.protocol import (
     verify_local_expectations,
     verify_plaquette_collapse,
 )
-from toricqet.statevector import apply_poly, ground_state
+from toricqet.statevector import StateVector, apply_poly, ground_state
 
 
 def random_params(rng) -> LoccParams:
@@ -508,6 +508,144 @@ class TestStructuralChecks:
         report = verify_plaquette_collapse(ProtocolSystem.from_toric(lat2, scheme), lat2)
         assert report.passed
         assert all("passes through" in c.label or "expectation" in c.label for c in report.checks)
+
+
+def reference_plaquette_collapse(system, lat):
+    """verify_plaquette_collapse with one backend.expect call per polynomial."""
+    backend = system.backend
+    checks = []
+    for idx, plaquette in enumerate(lat.plaquettes()):
+        collapses = not system.measured.commutes(plaquette)
+        b_poly = PauliPolynomial.from_string(plaquette)
+        r, c = divmod(idx, lat.L)
+        for k, m in system.m_ops.items():
+            left = m.mul(b_poly)
+            sandwich = left.mul(m)
+            if collapses:
+                resid = sandwich.max_abs_coeff()
+                label = f"plaquette({r},{c}) k={k:+d} collapses"
+            else:
+                resid = sandwich.sub(left).max_abs_coeff()
+                label = f"plaquette({r},{c}) k={k:+d} passes through"
+            checks.append(protocol.Check(label, resid <= protocol.IDENTITY_TOL, resid))
+            want = 0.0 if collapses else backend.expect(left).real
+            got = backend.expect(sandwich).real
+            resid_e = abs(got - want)
+            checks.append(protocol.Check(
+                f"plaquette({r},{c}) k={k:+d} expectation", resid_e <= protocol._zero_tol(backend), resid_e))
+    return protocol.CheckReport("plaquette collapse rule", tuple(checks))
+
+
+def reference_local_expectations(system, lat):
+    """verify_local_expectations with one backend.expect call per Pauli."""
+    backend = system.backend
+    tol = protocol._zero_tol(backend)
+    checks = []
+    worst = 0.0
+    for qubit in range(lat.n_qubits):
+        for axis in protocol.AXIS_NAMES:
+            val = abs(backend.expect(protocol.sigma_poly(lat.n_qubits, qubit, axis)))
+            worst = max(worst, val)
+    checks.append(protocol.Check(f"all {3 * lat.n_qubits} single-site expectations vanish", worst <= tol, worst))
+    contrast = backend.expect(PauliPolynomial.from_string(lat.star(0, 0))).real
+    checks.append(protocol.Check("contrast: star expectation is one", abs(contrast - 1.0) <= tol, abs(contrast - 1.0)))
+    return protocol.CheckReport("bare local operators average to zero", tuple(checks))
+
+
+LEMMA_REFERENCES = [
+    (verify_plaquette_collapse, reference_plaquette_collapse),
+    (verify_local_expectations, reference_local_expectations),
+]
+
+
+class TestBatchedLemmaQueries:
+    """LEMMA1 and LEMMA2 read their expectations in one expect_columns call
+    per plaquette and per qubit, and give the checks of one query per
+    polynomial, value for value."""
+
+    @staticmethod
+    def assert_same_checks(system, lat):
+        for check, reference in LEMMA_REFERENCES:
+            got, want = check(system, lat), reference(system, lat)
+            assert got.name == want.name
+            assert [repr(c) for c in got.checks] == [repr(c) for c in want.checks]
+
+    def assert_matches_reference(self, lat, scheme, which, sector=(1, 1)):
+        for backend in make_backends(lat, which, sector):
+            self.assert_same_checks(ProtocolSystem.from_toric(lat, scheme, backend), lat)
+
+    @pytest.mark.parametrize("sector", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_full_region_both_engines(self, L, sector):
+        lat = ToricLattice(L)
+        self.assert_matches_reference(lat, lat.full_region_scheme(), "both", sector)
+
+    def test_pass_through_scheme(self):
+        lat = ToricLattice(3, bob_qubit=8)
+        self.assert_matches_reference(lat, lat.scheme_from_edges([3]), "both")
+
+    @pytest.mark.parametrize("L,bob", [(8, 0), (20, 17)])
+    def test_large_torus_stabilizer(self, L, bob):
+        lat = ToricLattice(L, bob_qubit=bob)
+        self.assert_matches_reference(lat, lat.full_region_scheme(), "stabilizer")
+
+    def test_random_states(self):
+        # off the ground state the columns read distinct nonzero values, so a
+        # column read in the wrong place shows
+        rng = np.random.default_rng(197)
+        lat = ToricLattice(2, bob_qubit=1)
+        dim = 1 << lat.n_qubits
+        for edges in (lat.region_a_edges, lat.star_edges[3]):
+            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            state = StateVector(lat.n_qubits, np.arange(dim, dtype=np.int64), amps / np.linalg.norm(amps))
+            system = ProtocolSystem.from_toric(lat, lat.scheme_from_edges(edges), StatevectorBackend(state))
+            self.assert_same_checks(system, lat)
+
+    def test_skewed_kraus_pair(self, lat2):
+        # with M_k = (I + kS)/2 the expectation rows are 0 by the identities;
+        # non-projectors that differ by outcome make every row read its columns
+        backend = StatevectorBackend(ground_state(lat2))
+        for edges in (lat2.region_a_edges, lat2.star_edges[3]):
+            system = ProtocolSystem.from_toric(lat2, lat2.scheme_from_edges(edges), backend)
+            skewed = {k: m + PauliPolynomial.identity(lat2.n_qubits, 0.1 * k) for k, m in system.m_ops.items()}
+            system.__dict__["m_ops"] = skewed
+            self.assert_same_checks(system, lat2)
+            values = [c.value for c in verify_plaquette_collapse(system, lat2).checks if "expectation" in c.label]
+            assert min(values) > 0.005 and len(set(values)) > 1
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_each_axis_read_on_its_qubit(self, lat2, axis):
+        # qubit 0 in the +1 eigenstate of one axis, qubits 1-7 in a GHZ state
+        # (every one-site expectation 0): only that axis's column reads 1
+        ghz = 0b11111110
+        support, amps = {
+            "x": ([0, 1, ghz, ghz | 1], [1, 1, 1, 1]),
+            "y": ([0, 1, ghz, ghz | 1], [1, 1j, 1, 1j]),
+            "z": ([0, ghz], [1, 1]),
+        }[axis]
+        amps = np.array(amps, dtype=np.complex128)
+        state = StateVector(lat2.n_qubits, np.array(support, dtype=np.int64), amps / np.linalg.norm(amps))
+        system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme(), StatevectorBackend(state))
+        self.assert_same_checks(system, lat2)
+        assert verify_local_expectations(system, lat2).checks[0].value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("which", ["stabilizer", "statevector"])
+    def test_one_query_per_plaquette_and_qubit(self, which, monkeypatch):
+        lat = ToricLattice(3, bob_qubit=5)
+        backend, = make_backends(lat, which)
+        system = ProtocolSystem.from_toric(lat, lat.full_region_scheme(), backend)
+        calls = []
+        expect, expect_columns = backend.expect, backend.expect_columns
+        monkeypatch.setattr(backend, "expect", lambda poly: calls.append("expect") or expect(poly))
+        monkeypatch.setattr(backend, "expect_columns",
+                            lambda rows, width: calls.append(width) or expect_columns(rows, width))
+        verify_plaquette_collapse(system, lat)
+        assert calls == [4] * lat.L ** 2
+        calls.clear()
+        report = verify_local_expectations(system, lat)
+        # the star contrast row is the one single-polynomial query
+        assert calls == [3] * lat.n_qubits + ["expect"]
+        assert len(report.checks) == 2
 
 
 class TestInvariances:
