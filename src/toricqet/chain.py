@@ -9,7 +9,7 @@ ground state actually supports it.  Open chain of N qubits,
 ground state from dense diagonalization.  Default protocol: sigma^x
 measurement on site_A, conditioned rotation on site_B (by default site_A's
 right neighbour, or its left one at the chain's end), with independent
-per-outcome parameters (the most general single-step strategy).
+per-outcome parameters (the most general single-step rotation).
 """
 
 from __future__ import annotations
@@ -185,5 +185,5 @@ def optimize_control(
     independent: bool = True,
 ) -> OptimizeResult:
     """Search for extraction on the chain; independent per-outcome
-    parameters by default, the strongest single-round strategy."""
+    parameters by default, the strongest single-round rotation."""
     return optimize_system(protocol_system(model, axis), grid, independent=independent)

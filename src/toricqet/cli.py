@@ -83,7 +83,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_scan.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
                         default="stabilizer")
     p_scan.add_argument("--independent", action="store_true",
-                        help="also minimize with independent per-outcome parameters")
+                        help="minimize with independent per-outcome parameters instead of one shared rotation")
     p_scan.add_argument("--out", default=None, help="write the sweep table CSV here")
     p_scan.add_argument("--json", dest="json_out", default=None,
                         help="write the argmin report JSON here")

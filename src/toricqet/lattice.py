@@ -29,11 +29,12 @@ from .stabilizer import StabilizerGroup, check_sector
 
 EAST = 0
 SOUTH = 1
-# The largest torus, in qubits (L = 160).  A full-region scan keys a
-# sandwich table by each term's partner under the measured string, an
-# n-bit int, so its memory grows as L^4: `nogo-scan` peaks at 0.32 GB RSS
-# at L = 128 and 0.70 GB at L = 160 (2 CPUs, Python 3.11), and a larger L
-# is refused before any geometry is built.
+# The largest torus, in qubits (L = 160).  Each Hamiltonian term key is an
+# int as wide as its highest edge, so H alone holds O(L^4) bytes (74 MB at
+# L = 128, 177 MB at L = 160, by tracemalloc).  `nogo-scan` peaks at 150 MB
+# RSS at L = 128 and 281 MB at L = 160, at the first and at the last edge
+# (ru_maxrss from wait4; 2 CPUs, Python 3.11), and a larger L is refused
+# before any geometry is built.
 LATTICE_QUBIT_LIMIT = 2 * 160 * 160
 
 
@@ -184,6 +185,8 @@ class ToricLattice:
         """Build an X-string scheme, cancelling repeated edges mod 2."""
         support: set[int] = set()
         for e in edges:
+            if not isinstance(e, numbers.Integral):
+                raise ValueError(f"edge {e!r} is not an integer")
             e = int(e)
             if not 0 <= e < self.n_qubits:
                 raise ValueError(f"edge {e} out of range")

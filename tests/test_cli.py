@@ -43,7 +43,7 @@ class TestVerify:
     def test_check_count_scales_with_lattice(self, capsys):
         code, out, _ = run(capsys, "verify", "--L", "3")
         assert code == 0
-        assert "LEMMA1 PASS [stabilizer] plaquette collapse rule: 36 checks" in out
+        assert "LEMMA1 PASS [stabilizer] plaquette collapse rule: 18 checks" in out
 
     def test_capacity_exceeded_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--L", "4", "--backend", "statevector")
@@ -389,7 +389,7 @@ class TestGoldenArtifacts:
     def test_verify_stdout_pass_through(self, capsys):
         code, out, _ = run(capsys, "verify", *self.ONE_EDGE, "--samples", "0")
         assert code == 0
-        assert out.startswith("LEMMA1 PASS [stabilizer] plaquette collapse rule: 36 checks")
+        assert out.startswith("LEMMA1 PASS [stabilizer] plaquette collapse rule: 18 checks")
         want = golden_digests()["verify-L3-bob8-edges3-samples0.txt"]
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
@@ -554,14 +554,14 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"L": 3}))
         code, out, _ = run(capsys, "verify", "--config", str(cfg))
         assert code == 0
-        assert "36 checks" in out  # L=3 geometry
+        assert "rule: 18 checks" in out  # L=3 geometry
 
     def test_explicit_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"L": 3}))
         code, out, _ = run(capsys, "verify", "--config", str(cfg), "--L", "2")
         assert code == 0
-        assert "16 checks" in out  # L=2 geometry wins
+        assert "rule: 8 checks" in out  # L=2 geometry wins
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -138,6 +138,17 @@ class TestSchemes:
         with pytest.raises(ValueError):
             lat.scheme_from_edges([99])
 
+    @pytest.mark.parametrize("edges", [[2.5, 3.9], ["3"], [3.0], [1, None]])
+    def test_non_integral_edges_rejected(self, edges):
+        # int() would truncate 2.5 to 2 and parse "3"; an edge must be an integer
+        with pytest.raises(ValueError, match="is not an integer"):
+            ToricLattice(2).scheme_from_edges(edges)
+
+    def test_numpy_integer_edges_accepted(self):
+        scheme = ToricLattice(2).scheme_from_edges(np.array([1, 3]))
+        assert scheme.edges == frozenset({1, 3})
+        assert all(type(e) is int for e in scheme.edges)
+
     def test_kraus_pair(self):
         lat = ToricLattice(2)
         scheme = lat.full_region_scheme()
