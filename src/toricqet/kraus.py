@@ -99,7 +99,7 @@ class KrausSandwiches:
                         shifted[col + 1] += shift_m * c * sign
             for row in rows.values():
                 for j, c in enumerate(row):
-                    if not abs(c) >= PRUNE_TOL:
+                    if abs(c) < PRUNE_TOL:
                         row[j] = None
             values.append(self.backend.expect_columns(self._table(rows, tx, tz), len(zeros)))
         return values

@@ -179,6 +179,12 @@ class ToricLattice:
     def plaquettes_touching(self, edge: int) -> tuple[int, ...]:
         return tuple(i for i, edges in enumerate(self.plaquette_edges) if edge in edges)
 
+    def adjacent_sums(self, edge: int) -> tuple[PauliPolynomial, PauliPolynomial]:
+        """The sums of the stars and of the plaquettes touching edge; only those are built."""
+        def total(build, touching):
+            return PauliPolynomial.from_strings(self.n_qubits, ((build(*divmod(i, self.L)), 1.0) for i in touching))
+        return total(self.star, self.stars_touching(edge)), total(self.plaquette, self.plaquettes_touching(edge))
+
     # -- measurement schemes -------------------------------------------------
 
     def scheme_from_edges(self, edges: Iterable[int]) -> MeasurementScheme:

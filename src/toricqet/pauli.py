@@ -35,6 +35,11 @@ _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 TermRow = tuple[tuple[int, int], Sequence[Optional[complex]]]
 
 
+def nan_max(values: Iterable[float]) -> float:
+    """max(values, default=0.0), but NaN if any value is NaN: max alone returns one only in first place."""
+    return max(values, key=lambda v: (v != v, v), default=0.0)
+
+
 def phase_value(phase_exp: int) -> complex:
     """Return i**phase_exp as an exact complex unit."""
     return _I_POW[phase_exp % 4]
@@ -116,7 +121,7 @@ class PauliPolynomial:
     Terms map the bare bitmask pair (x_bits, z_bits) to a complex
     coefficient; any i^phase of the constituent strings is folded into the
     coefficient.  Coefficients with magnitude below PRUNE_TOL are never
-    stored.
+    stored (a NaN is kept: dropping it would read it as zero).
     """
 
     n_qubits: int
@@ -154,7 +159,7 @@ class PauliPolynomial:
 
     @classmethod
     def _from_raw(cls, n_qubits: int, raw: dict[tuple[int, int], complex]) -> "PauliPolynomial":
-        pruned = {k: v for k, v in raw.items() if abs(v) >= PRUNE_TOL}
+        pruned = {k: v for k, v in raw.items() if not abs(v) < PRUNE_TOL}
         return cls(n_qubits, pruned)
 
     # -- ring operations -------------------------------------------------
@@ -210,7 +215,7 @@ class PauliPolynomial:
         return len(self.terms)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return nan_max(abs(c) for c in self.terms.values())
 
     def strings(self) -> Iterable[tuple[PauliString, complex]]:
         """Iterate terms as (bare PauliString, coefficient) pairs."""

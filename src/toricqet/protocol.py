@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .kraus import OUTCOMES, KrausSandwiches
 from .lattice import MeasurementScheme, ToricLattice
-from .pauli import PauliPolynomial, PauliString, TermRow
-from .reports import EnergyReport
+from .pauli import PauliPolynomial, PauliString, TermRow, nan_max
+from .reports import Check, CheckReport, EnergyReport
 from .stabilizer import StabilizerGroup
 from . import statevector as sv
 
@@ -263,24 +263,24 @@ def post_measurement_profile(system: ProtocolSystem) -> dict[str, float]:
     return dict(zip(system.term_labels, system.bare_term_expectations(system.hamiltonian.terms), strict=True))
 
 
+def energy_change(system: ProtocolSystem, changes: Mapping[int, PauliPolynomial]) -> float:
+    """delta = sum_k <M_k D_k M_k>, D_k = U_k^dag H_t U_k - H_t the change outcome k makes to the target's terms."""
+    return sum(system.sandwich_expectations(changes[k])[k].real for k in OUTCOMES)
+
+
 def direct_energy(system: ProtocolSystem, locc: LoccChoice) -> EnergyReport:
     """Full direct evaluation of the protocol for one parameter choice.
 
     E_A and p_k are the system's cached measured stage (`injected_energy`,
-    `probabilities`).  The rotation acts on the target alone, so
-    delta = E_B - E_A is evaluated exactly as
-    sum_k <M_k (U_k^dag H_t U_k - H_t) M_k> on the target's terms H_t, and
-    E_B = E_A + delta.  No reduced formula (commutator, response
-    tensor or closed form) is used, so this is the reference path the
-    optimizer's fast path is tested against.  A per-outcome `locc` is
-    reported through its outcome +1 parameters.  The report's profile is
-    empty; a JSON report attaches post_measurement_profile(system).
+    `probabilities`), delta = E_B - E_A is `energy_change`.  No reduced formula
+    (commutator, response tensor or closed form) is used, so this is the
+    reference path the optimizer's fast path is tested against.  A per-outcome
+    `locc` is reported through its outcome +1 parameters.  The report's profile
+    is empty; a JSON report attaches post_measurement_profile(system).
     """
     ham_t = system.target_hamiltonian
-    delta = 0.0
-    for k in OUTCOMES:
-        u = locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits)
-        delta += system.sandwich_expectations(u.adjoint().mul(ham_t).mul(u).sub(ham_t))[k].real
+    unitaries = {k: locc_unitary(outcome_params(locc, k), k, system.target, system.n_qubits) for k in OUTCOMES}
+    delta = energy_change(system, {k: u.adjoint().mul(ham_t).mul(u).sub(ham_t) for k, u in unitaries.items()})
     p = system.probabilities
     e_a = system.injected_energy
     shown = outcome_params(locc, 1)
@@ -334,27 +334,6 @@ def describe_scheme(scheme: MeasurementScheme, lat: ToricLattice) -> str:
 # -- structural checks ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
-    label: str
-    passed: bool
-    value: float
-    contrast: bool = False  # value is expected to be LARGE, not a residual
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
 def _zero_tol(backend) -> float:
     return 0.0 if backend.exact else MATCH_TOL
 
@@ -404,31 +383,27 @@ def verify_local_expectations(system: ProtocolSystem, lat: ToricLattice) -> Chec
     return CheckReport("bare local operators average to zero", tuple(checks))
 
 
-def _adjacent_sum(lat: ToricLattice, build: Callable[[int, int], PauliString], touching: Sequence[int]) -> PauliPolynomial:
-    """Sum of the stabilizers build(r, c) at the indices r * L + c in touching;
-    only those are built, not all 2L^2."""
-    return PauliPolynomial.from_strings(lat.n_qubits, ((build(*divmod(idx, lat.L)), 1.0) for idx in touching))
+def cross_term_operators(lat: ToricLattice) -> dict[tuple[str, str], PauliPolynomial]:
+    """LEMMA3's operators sigma^i sigma^j A at the target, A the adjacent-star sum; no engine is read."""
+    n, bob = lat.n_qubits, lat.bob_qubit
+    star_sum, _ = lat.adjacent_sums(bob)
+    return {(i, j): sigma_poly(n, bob, i).mul(sigma_poly(n, bob, j)).mul(star_sum) for i, j in ("zx", "xy", "yy")}
 
 
-def verify_cross_terms(system: ProtocolSystem, lat: ToricLattice) -> CheckReport:
-    """The mixed products sigma^i sigma^j (adjacent-star sum), sandwiched
-    between the projectors, have zero ground-state expectation for the
-    pairs that appear in the energy difference; the (y,y) pair is kept as
-    a nonzero contrast so the zeros are not vacuous."""
+def verify_cross_terms(system: ProtocolSystem, operators: Mapping[tuple[str, str], PauliPolynomial]) -> CheckReport:
+    """The products of `cross_term_operators` between the projectors have zero
+    ground-state expectation for the pairs in the energy difference; the (y,y)
+    pair is kept as a nonzero contrast so the zeros are not vacuous."""
     tol = _zero_tol(system.backend)
-    n = lat.n_qubits
-    star_sum = _adjacent_sum(lat, lat.star, lat.stars_touching(lat.bob_qubit))
     checks = []
-    for i, j in (("z", "x"), ("x", "y")):
-        pair = sigma_poly(n, lat.bob_qubit, i).mul(sigma_poly(n, lat.bob_qubit, j))
-        for k, value in system.sandwich_expectations(pair.mul(star_sum)).items():
-            val = abs(value)
-            checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", val <= tol, val))
-    contrast = 0.0
-    pair_yy = sigma_poly(n, lat.bob_qubit, "y").mul(sigma_poly(n, lat.bob_qubit, "y"))
-    for value in system.sandwich_expectations(pair_yy.mul(star_sum)).values():
-        contrast += value.real
-    checks.append(Check("contrast: (y,y) term is nonzero", abs(contrast) > 0.5, abs(contrast), contrast=True))
+    for (i, j), op in operators.items():
+        values = system.sandwich_expectations(op)
+        if i == j:
+            contrast = abs(sum(v.real for v in values.values()))
+            checks.append(Check(f"contrast: ({i},{j}) term is nonzero", contrast > 0.5, contrast, contrast=True))
+        else:
+            for k, value in values.items():
+                checks.append(Check(f"({i},{j}) k={k:+d} cross term vanishes", abs(value) <= tol, abs(value)))
     return CheckReport("rotation cross terms vanish", tuple(checks))
 
 
@@ -438,63 +413,72 @@ def target_commutator(system: ProtocolSystem, axis: Sequence[float]) -> PauliPol
     return system.target_hamiltonian.commutator(axis_operator(system.n_qubits, system.target, axis))
 
 
-def verify_derivation_chain(system: ProtocolSystem, lat: ToricLattice, params: LoccParams) -> CheckReport:
-    """Step-by-step checks of the algebra behind the closed form.
+@dataclass(frozen=True)
+class DerivationDraw:
+    """One draw of `derivation_draws`: the rows of (a) and (b), and what (c) and (d) sandwich."""
 
-    (a) conjugating H by the rotation splits into the measured energy plus
-        a single commutator correction (exact polynomial identity, checked
-        on the target's terms H_t together with U^dag U = I: U acts on the
-        target alone, so the two imply it for H);
-    (b) that commutator reduces to the adjacent stars/plaquettes with the
-        stated -2 coefficients (exact polynomial identity);
-    (c) the term linear in the rotation angle has zero expectation;
-    (d) the remaining quadratic term reproduces the directly computed
-        energy difference;
-    (e) and equals the system's closed form, where it has one.
-    """
-    n = lat.n_qubits
-    bob = lat.bob_qubit
+    params: LoccParams
+    identities: tuple[Check, Check]
+    commutator: PauliPolynomial  # [H_t, n.sigma]
+    quadratic: PauliPolynomial  # n.sigma [H_t, n.sigma]
+    changes: dict[int, PauliPolynomial]  # energy_change's D_k
+
+
+def derivation_draws(system: ProtocolSystem, lat: ToricLattice, draws: Iterable[LoccParams]) -> list[DerivationDraw]:
+    """The derivation chain's algebra, which reads no engine: one build serves
+    every engine's `verify_derivation_chain`.  (a) Conjugating H by the rotation
+    splits into the measured energy plus one commutator correction, an exact
+    identity checked on the target's terms H_t with U^dag U = I (U acts on the
+    target alone, so the two imply it for H); (b) that commutator reduces to the
+    adjacent stars and plaquettes with the stated -2 coefficients, exactly.
+    M_k H_t M_k and (b)'s adjacent products are built once for all draws."""
+    n, bob = lat.n_qubits, lat.bob_qubit
     ham_t = system.target_hamiltonian
-    ident = PauliPolynomial.identity(n)
-    nx, ny, nz = params.axis
+    measured = {k: m.mul(ham_t).mul(m) for k, m in system.m_ops.items()}
+    star_sum, plaq_sum = lat.adjacent_sums(bob)
+    adjacent = [p.mul(sigma_poly(n, bob, a)) for p, a in zip((plaq_sum, star_sum + plaq_sum, star_sum), AXIS_NAMES)]
+    out = []
+    for params in draws:
+        comm = target_commutator(system, params.axis)
+        # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
+        worst, changes = 0.0, {}
+        for k, m in system.m_ops.items():
+            u = locc_unitary(params, k, bob, n)
+            u_dag = u.adjoint()
+            rotated = u_dag.mul(ham_t).mul(u)
+            changes[k] = rotated.sub(ham_t)
+            rhs = measured[k] + m.mul(u_dag.mul(comm)).mul(m).scale(1j * k * math.sin(params.theta))
+            worst = nan_max((worst, m.mul(rotated).mul(m).sub(rhs).max_abs_coeff(),
+                             u_dag.mul(u).sub(PauliPolynomial.identity(n)).max_abs_coeff()))
+        # (b) [H, n.sigma] = -2 nx B sx - 2 ny (A+B) sy - 2 nz A sz at the target.
+        (nx, ny, nz), (b_x, b_y, b_z) = params.axis, adjacent
+        resid_b = comm.sub(b_x.scale(-2.0 * nx) + b_y.scale(-2.0 * ny) + b_z.scale(-2.0 * nz)).max_abs_coeff()
+        identities = (Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst),
+                      Check("commutator reduces to adjacent stabilizers", resid_b <= IDENTITY_TOL, resid_b))
+        out.append(DerivationDraw(params, identities, comm, axis_operator(n, bob, params.axis).mul(comm), changes))
+    return out
+
+
+def verify_derivation_chain(system: ProtocolSystem, draw: DerivationDraw) -> CheckReport:
+    """The closed form's derivation on `system`'s engine: `derivation_draws`'
+    identities (a) and (b); (c) the term linear in the rotation angle has zero
+    expectation; (d) the quadratic term reproduces the direct energy difference,
+    (e) and equals the system's closed form, where it has one."""
+    params = draw.params
     s = math.sin(params.theta)
-    rot_axis = axis_operator(n, bob, params.axis)
-    comm = target_commutator(system, params.axis)
-    checks = []
-
-    # (a) M U' H U M = M H M + i k sin(theta) M U' [H, n.sigma] M, per outcome.
-    worst = 0.0
-    for k, m in system.m_ops.items():
-        u = locc_unitary(params, k, bob, n)
-        u_dag = u.adjoint()
-        lhs = m.mul(u_dag.mul(ham_t).mul(u)).mul(m)
-        rhs = m.mul(ham_t).mul(m) + m.mul(u_dag.mul(comm)).mul(m).scale(1j * k * s)
-        worst = max(worst, lhs.sub(rhs).max_abs_coeff(), u_dag.mul(u).sub(ident).max_abs_coeff())
-    checks.append(Check("conjugation splits into commutator correction", worst <= IDENTITY_TOL, worst))
-
-    # (b) [H, n.sigma] = -2 nx B sx - 2 ny (A+B) sy - 2 nz A sz at the target.
-    star_sum = _adjacent_sum(lat, lat.star, lat.stars_touching(bob))
-    plaq_sum = _adjacent_sum(lat, lat.plaquette, lat.plaquettes_touching(bob))
-    expected = (
-        plaq_sum.mul(sigma_poly(n, bob, "x")).scale(-2.0 * nx)
-        + (star_sum + plaq_sum).mul(sigma_poly(n, bob, "y")).scale(-2.0 * ny)
-        + star_sum.mul(sigma_poly(n, bob, "z")).scale(-2.0 * nz)
-    )
-    resid_b = comm.sub(expected).max_abs_coeff()
-    checks.append(Check("commutator reduces to adjacent stabilizers", resid_b <= IDENTITY_TOL, resid_b))
+    checks = list(draw.identities)
 
     # (c) sum_k i k (sin 2 theta / 2) <M [H, n.sigma] M> = 0.
     linear = 0.0 + 0.0j
-    for k, value in system.sandwich_expectations(comm).items():
+    for k, value in system.sandwich_expectations(draw.commutator).items():
         linear += 1j * k * (math.sin(2 * params.theta) / 2.0) * value
     checks.append(Check("linear rotation term vanishes", abs(linear) <= MATCH_TOL, abs(linear)))
 
     # (d) sin^2(theta) sum_k <M n.sigma [H, n.sigma] M> equals the direct delta.
     quad = 0.0
-    for value in system.sandwich_expectations(rot_axis.mul(comm)).values():
+    for value in system.sandwich_expectations(draw.quadratic).values():
         quad += (s * s) * value.real
-    report = direct_energy(system, params)
-    resid_d = abs(quad - report.delta)
+    resid_d = abs(quad - energy_change(system, draw.changes))
     checks.append(Check("quadratic term equals direct delta", resid_d <= MATCH_TOL, resid_d))
 
     # (e) and both equal the closed form.

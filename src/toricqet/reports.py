@@ -115,6 +115,27 @@ class EnergyReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+@dataclass(frozen=True)
+class Check:
+    label: str
+    passed: bool
+    value: float
+    contrast: bool = False  # value is expected to be LARGE, not a residual
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    name: str
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def failures(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
+
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 

@@ -22,7 +22,9 @@ from toricqet.protocol import (
     ProtocolSystem,
     StabilizerBackend,
     StatevectorBackend,
+    cross_term_operators,
     delta_closed_form,
+    derivation_draws,
     energy_after_locc,
     energy_injected,
     excitation_profile,
@@ -102,7 +104,7 @@ def test_criterion_3_structural_checks_exhaustive():
             reports = (
                 verify_plaquette_collapse(system, lat),
                 verify_local_expectations(system, lat),
-                verify_cross_terms(system, lat),
+                verify_cross_terms(system, cross_term_operators(lat)),
             )
             for rep in reports:
                 all_pass &= rep.passed
@@ -129,7 +131,8 @@ def test_criterion_4_derivation_chain_random(lat2):
     all_pass = True
     for i in range(100):
         system = systems[i % len(systems)]
-        rep = verify_derivation_chain(system, lat2, random_params(rng))
+        step, = derivation_draws(system, lat2, [random_params(rng)])
+        rep = verify_derivation_chain(system, step)
         all_pass &= rep.passed
         for c in rep.checks:
             if "identity" in c.label or "splits" in c.label or "reduces" in c.label:

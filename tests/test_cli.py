@@ -16,6 +16,7 @@ import pytest
 
 from toricqet import cli, optimize, protocol
 from toricqet.cli import entry, main
+from toricqet.kraus import KrausSandwiches
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial
 from toricqet.protocol import LoccParams, ProtocolSystem, direct_energy
@@ -78,6 +79,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--L", "2", "--edges", "0", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--L", "3", "--bob-qubit", "5", "--seed", "1"],
+        ["--L", "3", "--bob-qubit", "8", "--edges", "3", "--seed", "2"],
+        ["--L", "3", "--sector", "-1", "-1"],
+        ["--L", "2", "--seed", "7", "--samples", "10"],
+    ])
+    def test_both_backends_print_each_engine_alone(self, capsys, argv):
+        # the engines share the operator algebra, and that changes no line
+        outs = {}
+        for which in ("both", "stabilizer", "statevector"):
+            code, outs[which], err = run(capsys, "verify", *argv, "--backend", which)
+            assert code == 0, err
+        assert outs["both"] == outs["stabilizer"] + outs["statevector"]
+
+    def test_nan_kraus_coefficient_fails_step_a(self, capsys, monkeypatch):
+        # a NaN S coefficient in the Kraus pair is kept, not pruned to zero,
+        # so identity (a) reads NaN and fails on either engine
+        kraus = KrausSandwiches.m_ops.func
+
+        def nan_kraus(system):
+            key = (system.measured.x_bits, system.measured.z_bits)
+            return {k: PauliPolynomial(m.n_qubits, {**m.terms, key: complex("nan")}) for k, m in kraus(system).items()}
+
+        monkeypatch.setattr(ProtocolSystem, "m_ops", property(nan_kraus))
+        code, out, _ = run(capsys, "verify", "--L", "2", "--backend", "both")
+        assert code == 1
+        for name in ("stabilizer", "statevector"):
+            assert f"DERIVATION FAIL [{name}] derivation chain: 7 parameter draws, max residual nan" in out
+        assert out.count("failed: conjugation splits into commutator correction (residual nan)") == 2 * 7
 
     def test_negative_samples_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--L", "2", "--samples", "-3")
@@ -467,6 +498,34 @@ class TestBuildCounts:
         assert (len(calls), len(inner)) == (profiles, 0)
 
 
+class TestSharedAlgebra:
+    """verify builds the checks' operator algebra once for all engines, and
+    computes no whole-Hamiltonian sandwich, which no check reads."""
+
+    def test_second_engine_adds_no_product(self, capsys, monkeypatch):
+        counts = {}
+        for which in ("both", "stabilizer"):
+            products = count_calls(monkeypatch, PauliPolynomial, "mul")
+            code, _, err = run(capsys, "verify", "--L", "3", "--backend", which, "--seed", "1")
+            assert code == 0, err
+            counts[which] = len(products)
+            monkeypatch.undo()
+        assert counts["both"] == counts["stabilizer"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--L", "3", "--backend", "both"],
+        ["--L", "20", "--bob-qubit", "17", "--seed", "4"],
+    ])
+    def test_measured_energies_never_computed(self, capsys, monkeypatch, argv):
+        def refuse(system):
+            raise AssertionError("verify computed measured_energies")
+
+        monkeypatch.setattr(ProtocolSystem, "measured_energies", property(refuse))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 0, err
+        assert "FAIL" not in out
+
+
 class TestNoWholeLatticeProducts:
     """verify reads the measured stage G_k once and rotates only the target's
     terms, and the optimizer reads the target's commutator and sigma^i H sigma^j:
@@ -502,7 +561,7 @@ class TestNoWholeLatticeProducts:
         return sizes
 
     def test_verify_multiplies_only_small_polynomials(self, capsys, monkeypatch):
-        sizes = self._mul_sizes(monkeypatch, protocol, ("verify_derivation_chain", "direct_energy"))
+        sizes = self._mul_sizes(monkeypatch, protocol, ("derivation_draws", "verify_derivation_chain", "direct_energy"))
         code, out, err = run(capsys, "verify", "--L", "20", "--bob-qubit", "17", "--seed", "4")
         assert code == 0, err
         assert out.count(" PASS ") == 4

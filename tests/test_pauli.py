@@ -5,6 +5,8 @@ sharing no code with the packed implementation.  Qubit 0 is the least
 significant index bit, so it is the rightmost kron factor.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,18 @@ class TestPauliPolynomial:
         x = PauliPolynomial.from_string(PauliString.single(2, 0, "x"))
         assert (x - x).n_terms() == 0
         assert (x - x).max_abs_coeff() <= PRUNE_TOL
+
+    def test_nan_coefficient_kept(self):
+        # a NaN is not below PRUNE_TOL: pruning it would read it as zero
+        nan = PauliPolynomial.identity(2, float("nan"))
+        assert list(nan.terms) == [(0, 0)]
+        assert math.isnan(nan.max_abs_coeff())
+        tiny = PauliPolynomial.from_string(PauliString.single(2, 1, "z"), PRUNE_TOL / 2)
+        assert tiny.n_terms() == 0
+        # NaN in any place of the max, not only the first
+        x = PauliPolynomial.from_string(PauliString.single(2, 0, "x"), 3.0)
+        assert math.isnan((x + nan).max_abs_coeff()) and math.isnan((nan + x).max_abs_coeff())
+        assert (x + PauliPolynomial.identity(2, 2.0)).max_abs_coeff() == 3.0
 
     def test_scale(self):
         x = PauliPolynomial.from_string(PauliString.single(1, 0, "x"))

@@ -18,7 +18,9 @@ from toricqet.protocol import (
     ProtocolSystem,
     StabilizerBackend,
     StatevectorBackend,
+    cross_term_operators,
     delta_closed_form,
+    derivation_draws,
     direct_energy,
     energy_after_locc,
     energy_injected,
@@ -231,7 +233,8 @@ class TestMeasuredStageOnce:
         optimize_system(system, GridSpec(theta_count=9, sphere_count=8))
         for _ in range(3):
             direct_energy(system, params)
-        assert verify_derivation_chain(system, lat2, params).passed
+        step, = derivation_draws(system, lat2, [params])
+        assert verify_derivation_chain(system, step).passed
         assert sum(queried) == 2
         assert system.probabilities == {1: 0.5, -1: 0.5}
         assert system.injected_energy == 2.0
@@ -462,7 +465,7 @@ class TestStructuralChecks:
         lat = ToricLattice(L)
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
-            report = verify_cross_terms(ProtocolSystem.from_toric(lat, scheme, backend), lat)
+            report = verify_cross_terms(ProtocolSystem.from_toric(lat, scheme, backend), cross_term_operators(lat))
             assert report.passed, report.failures()
             contrast = [c for c in report.checks if c.contrast]
             assert len(contrast) == 1 and contrast[0].value == pytest.approx(2.0)
@@ -481,8 +484,8 @@ class TestStructuralChecks:
         scheme = lat2.full_region_scheme()
         for backend in make_backends(lat2, "both"):
             system = ProtocolSystem.from_toric(lat2, scheme, backend)
-            for _ in range(5):
-                report = verify_derivation_chain(system, lat2, random_params(rng))
+            for step in derivation_draws(system, lat2, [random_params(rng) for _ in range(5)]):
+                report = verify_derivation_chain(system, step)
                 assert report.passed, report.failures()
                 assert len(report.checks) == 5
 
@@ -494,9 +497,11 @@ class TestStructuralChecks:
 
         system = ProtocolSystem.from_toric(lat3, lat3.full_region_scheme())
         params = LoccParams.from_direction(0.9, (1.0, 2.0, 2.0))
-        assert verify_derivation_chain(system, lat3, params).checks[0].passed
+        step, = derivation_draws(system, lat3, [params])
+        assert verify_derivation_chain(system, step).checks[0].passed
         monkeypatch.setattr(protocol, "locc_unitary", stretched)
-        step_a = verify_derivation_chain(system, lat3, params).checks[0]
+        step, = derivation_draws(system, lat3, [params])
+        step_a = verify_derivation_chain(system, step).checks[0]
         assert step_a.label == "conjugation splits into commutator correction"
         assert not step_a.passed and step_a.value > 1e-3
 
@@ -508,6 +513,13 @@ class TestStructuralChecks:
         report = verify_plaquette_collapse(ProtocolSystem.from_toric(lat2, scheme), lat2)
         assert report.passed
         assert all(c.label.endswith("passes through") for c in report.checks)
+
+    def test_nan_coefficient_reads_nan(self, lat2):
+        # the Kraus table keeps a NaN coefficient, so its sandwich reads NaN, not 0
+        for backend in make_backends(lat2, "both"):
+            system = ProtocolSystem.from_toric(lat2, lat2.full_region_scheme(), backend)
+            values = system.sandwich_expectations(PauliPolynomial.identity(lat2.n_qubits, math.nan))
+            assert all(math.isnan(v.real) for v in values.values())
 
     def test_drifted_kraus_pair_fails(self):
         # the S coefficient of both Kraus operators off by one part in 2^50:
