@@ -49,10 +49,8 @@ CONTROL_EPS = 1e-9
 # -- parser --------------------------------------------------------------------
 
 
-def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
-    # defaults from a --config file must be pushed into each subparser:
-    # subcommands parse into a fresh namespace, so top-level set_defaults
-    # never reaches their arguments
+def build_parser() -> argparse.ArgumentParser:
+    """The toricqet parser; ``parser.subcommands`` maps each subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="toricqet",
         description="Exact check of measurement-feedback energy extraction on the toric code.",
@@ -67,6 +65,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                        help="target edge index for the conditioned rotation")
         p.add_argument("--edges", type=int, nargs="+", default=None,
                        help="explicit measurement support (default: all of region A)")
+        p.add_argument("--backend", choices=("stabilizer", "statevector", "both"), default="stabilizer")
 
     def grid_flags(p):
         p.add_argument("--theta-count", type=int, default=GridSpec.theta_count, dest="theta_count")
@@ -75,16 +74,12 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the structural checks")
     lattice_flags(p_verify)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled parameter draws")
-    p_verify.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
-                          default="stabilizer")
     p_verify.add_argument("--samples", type=int, default=5,
                           help="random parameter draws for the derivation checks")
 
     p_scan = sub.add_parser("nogo-scan", help="sweep rotation parameters for extraction")
     lattice_flags(p_scan)
     grid_flags(p_scan)
-    p_scan.add_argument("--backend", choices=("stabilizer", "statevector", "both"),
-                        default="stabilizer")
     p_scan.add_argument("--independent", action="store_true",
                         help="minimize with independent per-outcome parameters instead of one shared rotation")
     p_scan.add_argument("--out", default=None, help="write the sweep table CSV here")
@@ -114,8 +109,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--config", default=None,
                        help="JSON file of defaults, one key per option (e.g. theta_count)")
-        if defaults:
-            p.set_defaults(**defaults)
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -147,14 +141,13 @@ def _check_config_value(action: argparse.Action, value):
         raise ValueError(f"config key {key!r} must be {described}, got {value!r}")
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser, command: str) -> dict:
-    """The file's values, each an option `parser` declares for `command`, of its flag's type."""
+def _load_config(path: str, command: str, sub: argparse.ArgumentParser) -> dict:
+    """The file's values, each an option that `command`'s parser `sub` declares, of its flag's type."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+    options = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     undeclared = set(data) - set(options)
     if undeclared:
         raise ValueError(f"config keys in {path} that {command} does not take: {sorted(undeclared)}")
@@ -232,8 +225,6 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
     backends = make_backends(lat, args.backend, args.sector)
     grid = _grid(args)
     blocks = []
-    overall_min = math.inf
-    best = None
     for backend in backends:
         system = ProtocolSystem.from_toric(lat, scheme, backend)
         res = optimize_system(system, grid, independent=args.independent)
@@ -245,21 +236,18 @@ def cmd_nogo_scan(args: argparse.Namespace) -> int:
         print(f"[{backend.name}] min delta = {format_float(res.min_delta)} "
               f"at {res.argmin_description()}; grid min = {format_float(res.grid_min)}; "
               f"{deviation}theta=0 attains minimum: {res.min_delta >= 0.0}")
-        if res.min_delta < overall_min:
-            overall_min = res.min_delta
-            best = (system, res)
+    system, res, _ = min(blocks, key=lambda block: block[1].min_delta)
     if args.out:
         write_sweep_csv(args.out, blocks)
         print(f"sweep table written to {args.out}")
     if args.json_out:
-        system, res = best
         report = replace(direct_energy(system, res.witness), stabilizer_expectations=post_measurement_profile(system))
         write_lines(args.json_out, "argmin report", [report.to_json()])
         print(f"argmin report written to {args.json_out}")
-    if overall_min < -NOGO_EPS:
-        print(f"NOGO REFUTED: extraction point found, min delta = {format_float(overall_min)}")
+    if res.min_delta < -NOGO_EPS:
+        print(f"NOGO REFUTED: extraction point found, min delta = {format_float(res.min_delta)}")
         return 1
-    print(f"NOGO CONFIRMED: min delta = {format_float(overall_min)} >= -{NOGO_EPS:g}")
+    print(f"NOGO CONFIRMED: min delta = {format_float(res.min_delta)} >= -{NOGO_EPS:g}")
     return 0
 
 
@@ -314,8 +302,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.config is not None:
-            # explicit flags still beat the file's values on the second parse
-            args = build_parser(_load_config(args.config, parser, args.command)).parse_args(argv)
+            # the file's values become the subparser's defaults (a subcommand parses into a
+            # fresh namespace, which top-level defaults never reach); explicit flags still
+            # beat them when the same parser parses argv again
+            sub = parser.subcommands[args.command]
+            sub.set_defaults(**_load_config(args.config, args.command, sub))
+            args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

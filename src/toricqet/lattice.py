@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .pauli import PauliPolynomial, PauliString
-from .stabilizer import StabilizerGroup, check_sector
+from .stabilizer import StabilizerGroup
 
 EAST = 0
 SOUTH = 1

@@ -95,24 +95,6 @@ class PauliString:
         overlap = (self.x_bits & other.z_bits).bit_count() + (self.z_bits & other.x_bits).bit_count()
         return overlap % 2 == 0
 
-    def is_hermitian(self) -> bool:
-        """True iff the canonical (Y-explicit) phase is +-1."""
-        return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 2 == 0
-
-    def canonical_phase_exp(self) -> int:
-        """Exponent e with self = i^e * (tensor of I/X/Y/Z factors)."""
-        return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 4
-
-    def label(self) -> str:
-        """Human-readable form like '-iXIYZ' (qubit 0 leftmost)."""
-        chars = []
-        for j in range(self.n_qubits):
-            xb = (self.x_bits >> j) & 1
-            zb = (self.z_bits >> j) & 1
-            chars.append("IXZY"[xb + 2 * zb])
-        prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.canonical_phase_exp()]
-        return prefix + "".join(chars)
-
 
 @dataclass(frozen=True)
 class PauliPolynomial:

@@ -132,9 +132,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"

@@ -23,18 +23,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import CapacityError, ToricLattice, check_sector
+from .lattice import CapacityError, ToricLattice
 from .pauli import PauliPolynomial, TermRow
+from .stabilizer import check_sector
 
 STATE_QUBIT_LIMIT = 20
 DENSE_QUBIT_LIMIT = 16
-
-
-def _check_state_capacity(n_qubits: int):
-    if n_qubits > STATE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"{n_qubits} qubits exceeds the statevector limit of {STATE_QUBIT_LIMIT}"
-        )
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,10 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_qubits: int, bits: int) -> "StateVector":
-        _check_state_capacity(n_qubits)
+        if n_qubits > STATE_QUBIT_LIMIT:
+            raise CapacityError(
+                f"{n_qubits} qubits exceeds the statevector limit of {STATE_QUBIT_LIMIT}"
+            )
         return cls(n_qubits, np.array([bits], dtype=np.int64), np.ones(1, dtype=np.complex128))
 
     def norm(self) -> float:

@@ -54,6 +54,11 @@ def poly_close(a: PauliPolynomial, b: PauliPolynomial, tol: float = PRUNE_TOL) -
     return a.sub(b).max_abs_coeff() <= tol
 
 
+def is_hermitian(p: PauliString) -> bool:
+    """True iff p is Hermitian: phase_exp and the number of Y-sites have the same parity."""
+    return (p.phase_exp - (p.x_bits & p.z_bits).bit_count()) % 2 == 0
+
+
 def random_string(rng, n: int) -> PauliString:
     top = 1 << n
     return PauliString(n, int(rng.integers(top)), int(rng.integers(top)), int(rng.integers(4)))
@@ -61,7 +66,7 @@ def random_string(rng, n: int) -> PauliString:
 
 def random_hermitian_string(rng, n: int) -> PauliString:
     p = random_string(rng, n)
-    if p.is_hermitian():
+    if is_hermitian(p):
         return p
     return PauliString(n, p.x_bits, p.z_bits, p.phase_exp + 1)
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from conftest import is_hermitian
+
 from toricqet.lattice import ToricLattice
 from toricqet.pauli import PauliPolynomial, PauliString, TermRow, phase_value
 
@@ -62,8 +64,8 @@ class EchelonGroup:
         if len(signs) != len(generators) or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1, one per generator")
         for g in generators:
-            if not g.is_hermitian():
-                raise ValueError(f"generator {g.label()} is not Hermitian")
+            if not is_hermitian(g):
+                raise ValueError(f"generator {g!r} is not Hermitian")
         if not _all_commute(generators):
             raise ValueError("generators do not all commute")
 

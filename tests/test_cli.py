@@ -594,8 +594,7 @@ class TestDescribe:
 
 def subcommand_options() -> dict:
     """Subcommand -> the dests of its options."""
-    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.dest for a in p._actions} for name, p in action.choices.items()}
+    return {name: {a.dest for a in p._actions} for name, p in cli.build_parser().subcommands.items()}
 
 
 # every config key: an option's dest, --help and --config left out
@@ -621,6 +620,17 @@ class TestConfigFile:
         code, out, _ = run(capsys, "verify", "--config", str(cfg), "--L", "2")
         assert code == 0
         assert "rule: 8 checks" in out  # L=2 geometry wins
+
+    def test_one_parser_per_run(self, capsys, monkeypatch, tmp_path):
+        # the file's values become the subparser's defaults: the same parser parses again
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"L": 3, "samples": 0}))
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == 0 and "rule: 18 checks" in out
+        assert len(builds) == 1
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

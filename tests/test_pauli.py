@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import I2, X2, Y2, Z2, dense_poly, dense_string, poly_close, random_string
+from conftest import I2, X2, Y2, Z2, dense_poly, dense_string, is_hermitian, poly_close, random_string
 
 from toricqet.pauli import PRUNE_TOL, PauliPolynomial, PauliString
 
@@ -74,7 +74,7 @@ class TestPauliString:
         for _ in range(2_000):
             p = random_string(rng, int(rng.integers(1, 5)))
             dense = dense_string(p)
-            assert p.is_hermitian() == np.array_equal(dense, dense.conj().T)
+            assert is_hermitian(p) == np.array_equal(dense, dense.conj().T)
 
     def test_single_is_a_one_qubit_support(self):
         for n in range(1, 8):
@@ -92,13 +92,7 @@ class TestPauliString:
         p = PauliString.from_support(3, [0, 2], "y")
         oracle = np.kron(Y2, np.kron(I2, Y2))
         assert np.array_equal(dense_string(p), oracle)
-        assert p.is_hermitian()
-
-    def test_label(self):
-        # Y on qubit 1, Z on qubit 2
-        assert PauliString(3, 0b010, 0b110, 1).label() == "+IYZ"
-        # the bare XZ
-        assert PauliString(1, 1, 1, 0).label() == "-iY"
+        assert is_hermitian(p)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -134,7 +128,7 @@ class TestPauliPolynomial:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             s = random_string(rng, n)
-            if not s.is_hermitian():
+            if not is_hermitian(s):
                 s = PauliString(n, s.x_bits, s.z_bits, s.phase_exp + 1)
             sp = PauliPolynomial.from_string(s, 0.5)
             plus = PauliPolynomial.identity(n, 0.5) + sp

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import poly_close, random_hermitian_string, string_product
+from conftest import is_hermitian, poly_close, random_hermitian_string, string_product
 
 from toricqet import protocol
 from toricqet.chain import build_chain, protocol_system
@@ -307,7 +307,7 @@ def random_polynomial(rng, measured: PauliString, count: int) -> PauliPolynomial
         weighted.append((string, rng.standard_normal()))
         if rng.integers(2):
             partner = string_product(measured, string)
-            if not partner.is_hermitian():
+            if not is_hermitian(partner):
                 partner = PauliString(n, partner.x_bits, partner.z_bits, partner.phase_exp + 1)
             weighted.append((partner, rng.standard_normal()))
     return PauliPolynomial.from_strings(n, weighted)
@@ -449,7 +449,7 @@ class TestStructuralChecks:
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
             report = verify_plaquette_collapse(ProtocolSystem.from_toric(lat, scheme, backend), lat)
-            assert report.passed, report.failures()
+            assert report.passed, report
             assert len(report.checks) == 2 * L * L
 
     @pytest.mark.parametrize("L,which", [(2, "both"), (3, "stabilizer"), (4, "stabilizer")])
@@ -458,7 +458,7 @@ class TestStructuralChecks:
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
             report = verify_local_expectations(ProtocolSystem.from_toric(lat, scheme, backend), lat)
-            assert report.passed, report.failures()
+            assert report.passed, report
 
     @pytest.mark.parametrize("L,which", [(2, "both"), (3, "stabilizer"), (4, "stabilizer")])
     def test_cross_terms(self, L, which):
@@ -466,7 +466,7 @@ class TestStructuralChecks:
         scheme = lat.full_region_scheme()
         for backend in make_backends(lat, which):
             report = verify_cross_terms(ProtocolSystem.from_toric(lat, scheme, backend), cross_term_operators(lat))
-            assert report.passed, report.failures()
+            assert report.passed, report
             contrast = [c for c in report.checks if c.contrast]
             assert len(contrast) == 1 and contrast[0].value == pytest.approx(2.0)
 
@@ -486,7 +486,7 @@ class TestStructuralChecks:
             system = ProtocolSystem.from_toric(lat2, scheme, backend)
             for step in derivation_draws(system, lat2, [random_params(rng) for _ in range(5)]):
                 report = verify_derivation_chain(system, step)
-                assert report.passed, report.failures()
+                assert report.passed, report
                 assert len(report.checks) == 5
 
     def test_non_unitary_rotation_fails_step_a(self, lat3, monkeypatch):
@@ -535,7 +535,7 @@ class TestStructuralChecks:
                 terms[key] *= 1 + 2.0 ** -50
                 drifted[k] = PauliPolynomial(lat.n_qubits, terms)
             system.__dict__["m_ops"] = drifted
-            failed = verify_plaquette_collapse(system, lat).failures()
+            failed = [c for c in verify_plaquette_collapse(system, lat).checks if not c.passed]
             assert len(failed) == 4 and all(c.label.endswith("passes through") for c in failed)
             assert all(c.value == 2.0 ** -51 for c in failed)
 

@@ -1,7 +1,6 @@
 """The README's Python examples run as written, and its command-line
 synopsis lists every option the parser accepts."""
 
-import argparse
 import re
 from pathlib import Path
 
@@ -37,8 +36,7 @@ def synopsis() -> dict:
 
 
 def subparsers() -> dict:
-    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return dict(action.choices)
+    return build_parser().subcommands
 
 
 @pytest.mark.parametrize("command", sorted(subparsers()))

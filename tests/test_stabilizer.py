@@ -317,7 +317,7 @@ class TestLinearQuery:
                 for k in order:
                     p, s = keys[k]
                     if expect(g, p) != s:
-                        errors.append(p.label())
+                        errors.append(repr(p))
                 expect(g, others[order[0] % len(others)])
 
         old = sys.getswitchinterval()
